@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
+#include "common/kernels.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "decode/bcjr.hh"
@@ -258,6 +261,102 @@ TEST(Decoders, BcjrSmallWindowDegrades)
         errs_big += countBitErrors(big.decodeBlock(soft), data);
     }
     EXPECT_GT(errs_small, errs_big);
+}
+
+namespace {
+
+/** FNV-1a over raw bytes, chained through @p h. */
+std::uint64_t
+fnv1a(std::uint64_t h, const void *data, size_t n)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    for (size_t i = 0; i < n; ++i) {
+        h ^= p[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/**
+ * A received soft stream of @p steps trellis steps: a terminated
+ * codeword on +-40 with Gaussian noise (sigma 30), clamped to the
+ * 8-bit soft rails (+-127), with the rate-2/3 or rate-3/4
+ * depuncture zeros of 802.11a reinserted for @p mode 1 / 2.
+ */
+SoftVec
+pinSoft(int steps, int mode, std::uint64_t seed)
+{
+    const int data_len = std::max(0, steps - ConvCode::kTailBits);
+    BitVec coded = convCode().encode(randomBits(
+        static_cast<size_t>(data_len), seed), true);
+    coded.resize(2 * static_cast<size_t>(steps), 0);
+    GaussianSource g(seed ^ 0x5eed);
+    static const int kKeep23[4] = {1, 1, 1, 0};
+    static const int kKeep34[6] = {1, 1, 1, 0, 0, 1};
+    SoftVec soft(coded.size());
+    for (size_t i = 0; i < coded.size(); ++i) {
+        double v = (coded[i] ? 40.0 : -40.0) + 30.0 * g.next();
+        soft[i] = static_cast<SoftBit>(
+            std::clamp(std::lround(v), -127l, 127l));
+        if ((mode == 1 && !kKeep23[i % 4]) ||
+            (mode == 2 && !kKeep34[i % 6]))
+            soft[i] = 0;
+    }
+    return soft;
+}
+
+/**
+ * Hash of the max-log BCJR's bits and LLR hints over the pin
+ * corpus for window @p n: lengths 7, n-1, n, n+1, 2n and 1,103
+ * steps, each as a plain, a rate-2/3 and a rate-3/4 depunctured
+ * stream.
+ */
+std::uint64_t
+bcjrPinHash(int n)
+{
+    li::Config cfg;
+    cfg.set("block_len", std::to_string(n));
+    BcjrDecoder dec(cfg);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (int steps : {7, n - 1, n, n + 1, 2 * n, 1103}) {
+        for (int mode = 0; mode < 3; ++mode) {
+            SoftVec soft = pinSoft(
+                steps, mode,
+                static_cast<std::uint64_t>(1000 * n + 10 * steps +
+                                           mode));
+            for (const SoftDecision &d : dec.decodeBlock(soft)) {
+                h = fnv1a(h, &d.bit, sizeof(d.bit));
+                h = fnv1a(h, &d.llr, sizeof(d.llr));
+            }
+        }
+    }
+    return h;
+}
+
+} // namespace
+
+// Golden pin of the max-log BCJR's output. The batch <-> LI grid
+// runs the same decoder on both sides, so only a pin like this one
+// catches a change to the decoder itself; it must hold unchanged on
+// every kernel backend.
+TEST(Decoders, BcjrMaxLogGoldenPin)
+{
+    const std::pair<int, std::uint64_t> pins[] = {
+        {7, 0x9606376f3ea4bf27ull},
+        {16, 0x43ae6701d3837165ull},
+        {64, 0xb8eb600aa09b83bbull},
+        {100, 0xa6a7f667d4453aeeull},
+    };
+    const kernels::Backend prev = kernels::activeBackend();
+    for (kernels::Backend b : kernels::availableBackends()) {
+        ASSERT_TRUE(kernels::setBackend(b));
+        for (const auto &[n, want] : pins) {
+            EXPECT_EQ(bcjrPinHash(n), want)
+                << "block_len " << n << " on "
+                << kernels::backendName(b);
+        }
+    }
+    kernels::setBackend(prev);
 }
 
 TEST(DecodersDeath, OddStreamPanics)
