@@ -214,6 +214,37 @@ BM_KernelAcsForward(benchmark::State &state)
 }
 BENCHMARK(BM_KernelAcsForward)->Arg(0)->Arg(1)->Arg(2);
 
+// The whole-frame max-log BCJR kernel (forward, provisional and
+// exact backward PMUs, decision unit) on a 1,100-step frame -- a
+// ~1,094-bit payload -- at the default window of 64.
+void
+BM_KernelBcjrBlock(benchmark::State &state)
+{
+    if (!selectBackendArg(state))
+        return;
+    const int steps = 1100;
+    const BitVec data = randomBits(steps - ConvCode::kTailBits, 25);
+    const BitVec coded = convCode().encode(data, true);
+    GaussianSource g(26);
+    SoftVec soft(coded.size());
+    for (size_t i = 0; i < soft.size(); ++i) {
+        const double x = (coded[i] ? 12.0 : -12.0) + 8.0 * g.next();
+        soft[i] = static_cast<SoftBit>(std::lround(x));
+    }
+    std::vector<std::int32_t> alpha(steps * decode::kStates);
+    std::vector<SoftDecision> out(steps);
+    const auto &tv = decode::TrellisTables::view();
+    const std::int32_t fl = decode::kMetricFloor;
+    for (auto _ : state) {
+        kernels::ops().bcjrMaxLog(tv, soft.data(), steps, 64, fl / 2, fl,
+                                  alpha.data(), out.data());
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * steps);
+}
+BENCHMARK(BM_KernelBcjrBlock)->Arg(0)->Arg(1)->Arg(2);
+
 void
 BM_KernelAcsForwardI16(benchmark::State &state)
 {

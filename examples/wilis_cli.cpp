@@ -123,6 +123,11 @@ runLinkExperiment(int argc, char **argv)
         static_cast<std::uint64_t>(cli.getInt("packets", 100));
     const int threads = static_cast<int>(cli.getInt("threads", 0));
 
+    // Built up front, on this thread, so a bad decoder key is one
+    // config error here rather than one per sweep worker.
+    auto dec = decode::makeDecoder(spec.rx.decoder,
+                                   spec.rx.decoderCfg);
+
     std::printf("WiLIS experiment: %s, %s decoder, %s channel @ %.1f "
                 "dB, %llu packets x %zu bits\n\n",
                 phy::rateTable(spec.rate).name().c_str(),
@@ -169,8 +174,6 @@ runLinkExperiment(int argc, char **argv)
                                    static_cast<double>(packets))});
 
     // Architecture summary for the selected decoder.
-    auto dec = decode::makeDecoder(spec.rx.decoder,
-                                   spec.rx.decoderCfg);
     t.addRow({"decoder latency (cycles)",
               strprintf("%d", dec->pipelineLatencyCycles())});
     t.addRow({"decoder latency @60 MHz (us)",

@@ -4,9 +4,9 @@
  * paths.
  *
  * The three hottest inner loops of the simulator -- soft-LLR
- * demapping, the trellis add-compare-select sweep shared by
- * Viterbi/SOVA/BCJR, and the per-sample complex channel arithmetic --
- * are expressed once against the portable packed-vector layer in
+ * demapping, the trellis add-compare-select sweeps of the decoders,
+ * and the per-sample complex channel arithmetic -- are expressed
+ * once against the portable packed-vector layer in
  * common/simd.hh and compiled three times: scalar, SSE4.2 and AVX2
  * (kernels_scalar.cc / kernels_sse42.cc / kernels_avx2.cc). At
  * startup the dispatcher picks the widest backend the host supports
@@ -25,6 +25,17 @@
  * (e.g. the saturating i16 ACS prototype below); those trade
  * precision for width and are benchmarked but deliberately not wired
  * into the decode path.
+ *
+ * Granularity: Viterbi and SOVA call the per-step ACS entries; the
+ * max-log BCJR calls one whole-frame entry (bcjrMaxLog) that keeps
+ * the state metrics in registers across steps. It relies on the
+ * shift-register butterfly and on the code's complement outputs
+ * (fwdOut1 = fwdOut0 ^ 3, revOut1 = revOut0 ^ 3, so the second
+ * branch metric is the negated first), both asserted when
+ * decode::TrellisTables builds the view, and sweeps each window's
+ * exact backward chain together with the provisional chain of the
+ * preceding window, which covers the same steps (see
+ * docs/ARCHITECTURE.md "The SIMD kernel layer").
  */
 
 #ifndef WILIS_COMMON_KERNELS_HH
@@ -74,8 +85,10 @@ struct KernelPolicy {
  * entry per state, SIMD-friendly). The vector backends additionally
  * rely on the butterfly layout of a shift-register code --
  * pred0[s] = 2*(s % (n/2)), pred1[s] = pred0[s] + 1,
- * next0[s] = s / 2, next1[s] = n/2 + s / 2 -- which
- * decode/trellis_kernels.cc asserts once when building the view.
+ * next0[s] = s / 2, next1[s] = n/2 + s / 2 -- and bcjrMaxLog on
+ * complementary branch outputs, fwdOut1[s] = fwdOut0[s] ^ 3 and
+ * revOut1[s] = revOut0[s] ^ 3; decode/trellis_kernels.cc asserts
+ * both once when building the view.
  */
 struct TrellisView {
     /** Number of states (a multiple of the widest vector width). */
@@ -161,23 +174,22 @@ struct Ops {
                        std::uint64_t *choices, std::int32_t *delta);
 
     /**
-     * Backward path-metric step: beta_out[s] = max over x of
-     * (bm[fwdOut_x[s]] + beta_next[next_x[s]]).
+     * Whole-frame sliding-window max-log BCJR (decode/bcjr.cc's
+     * max-log path) over @p steps trellis steps of @p soft (two soft
+     * values per step) with window @p block_len: the forward PMU,
+     * each window's provisional and exact backward PMUs, and the
+     * decision unit, writing out[j].bit and out[j].llr =
+     * |best1 - best0| per step. Every step normalizes like
+     * normalizeMetrics(@p floor_threshold, @p floor_value). @p alpha
+     * is caller scratch for steps * nStates metrics. Requires a
+     * 64-state trellis whose outputs satisfy fwdOut1 = fwdOut0 ^ 3
+     * and revOut1 = revOut0 ^ 3 (asserted when the view is built).
      */
-    void (*acsBackward)(const TrellisView &tv,
-                        const std::int32_t *beta_next,
-                        const std::int32_t bm[4],
-                        std::int32_t *beta_out);
-
-    /**
-     * Max-log BCJR decision unit for one step: best_x =
-     * max over s of (alpha[s] + bm[fwdOut_x[s]] + beta[next_x[s]]).
-     */
-    void (*bcjrDecision)(const TrellisView &tv,
-                         const std::int32_t *alpha,
-                         const std::int32_t bm[4],
-                         const std::int32_t *beta,
-                         std::int32_t *best0, std::int32_t *best1);
+    void (*bcjrMaxLog)(const TrellisView &tv, const SoftBit *soft,
+                       int steps, int block_len,
+                       std::int32_t floor_threshold,
+                       std::int32_t floor_value, std::int32_t *alpha,
+                       SoftDecision *out);
 
     /**
      * Subtract the maximum from every metric; entries at or below

@@ -37,10 +37,12 @@
 #ifndef WILIS_COMMON_KERNELS_IMPL_HH
 #define WILIS_COMMON_KERNELS_IMPL_HH
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
 #include "common/kernels.hh"
+#include "common/logging.hh"
 #include "common/simd.hh"
 
 namespace wilis {
@@ -82,49 +84,6 @@ acsForwardKernel(const TrellisView &tv, const i32 *pm_in,
             VecI32::abs(m1 - m0).store(delta + s);
     }
     *choices = ch;
-}
-
-inline void
-acsBackwardKernel(const TrellisView &tv, const i32 *beta_next,
-                  const i32 bm[4], i32 *beta_out)
-{
-    const int n = tv.nStates;
-    const int half = n / 2;
-    constexpr int L = VecI32::kLanes;
-    for (int s = 0; s < n; s += L) {
-        VecI32 m0 =
-            VecI32::loadHalfDup(beta_next + s / 2) +
-            VecI32::lookup4(bm, VecI32::load(tv.fwdOut0 + s));
-        VecI32 m1 =
-            VecI32::loadHalfDup(beta_next + half + s / 2) +
-            VecI32::lookup4(bm, VecI32::load(tv.fwdOut1 + s));
-        VecI32::max(m0, m1).store(beta_out + s);
-    }
-}
-
-inline void
-bcjrDecisionKernel(const TrellisView &tv, const i32 *alpha,
-                   const i32 bm[4], const i32 *beta, i32 *best0,
-                   i32 *best1)
-{
-    const int n = tv.nStates;
-    const int half = n / 2;
-    constexpr int L = VecI32::kLanes;
-    VecI32 acc0 = VecI32::broadcast(*best0);
-    VecI32 acc1 = VecI32::broadcast(*best1);
-    for (int s = 0; s < n; s += L) {
-        VecI32 a = VecI32::load(alpha + s);
-        VecI32 c0 =
-            a + VecI32::lookup4(bm, VecI32::load(tv.fwdOut0 + s)) +
-            VecI32::loadHalfDup(beta + s / 2);
-        VecI32 c1 =
-            a + VecI32::lookup4(bm, VecI32::load(tv.fwdOut1 + s)) +
-            VecI32::loadHalfDup(beta + half + s / 2);
-        acc0 = VecI32::max(acc0, c0);
-        acc1 = VecI32::max(acc1, c1);
-    }
-    *best0 = acc0.reduceMax();
-    *best1 = acc1.reduceMax();
 }
 
 inline void
@@ -182,6 +141,220 @@ acsForwardI16Kernel(const TrellisView &tv, const i16 *pm_in,
         ch |= static_cast<u64>(mask.moveMask()) << s;
     }
     *choices = ch;
+}
+
+// ------------------------------------------------ max-log BCJR frame
+//
+// The whole sliding-window max-log BCJR of decode/bcjr.cc in one
+// call. The 64 state metrics are held as kVecs registers in one of
+// two layouts:
+//   natural  lane order = state index;
+//   split    the 32 even states, then the 32 odd states.
+// The shift-register butterfly makes each recursion read one layout
+// and write the other with contiguous operands only: the forward ACS
+// of arrival state s reads predecessors 2*(s % 32) and 2*(s % 32) + 1,
+// i.e. entry s % 32 of each split half, and writes natural order; the
+// backward ACS of states 2k / 2k + 1 reads successors k and 32 + k,
+// i.e. entry k of each natural half, and writes split order. One
+// deinterleave() / interleave() per step turns the result back into
+// the layout the next step reads. Alpha is stored split, which is
+// also the layout of the backward branch sums, so the decision unit
+// adds them lane for lane.
+
+/** Fully unroll a loop over a metric set, so it stays in registers. */
+#define WILIS_UNROLL _Pragma("GCC unroll 16")
+
+namespace bcjr {
+
+constexpr int kStates = 64;
+constexpr int kVecs = kStates / VecI32::kLanes;
+constexpr int kHalf = kVecs / 2;
+
+/** 64 state metrics (or per-state values) in registers. */
+struct Metrics {
+    VecI32 v[kVecs];
+};
+
+inline Metrics
+load(const i32 *p)
+{
+    Metrics m;
+    WILIS_UNROLL
+    for (int i = 0; i < kVecs; ++i)
+        m.v[i] = VecI32::load(p + i * VecI32::kLanes);
+    return m;
+}
+
+inline void
+store(const Metrics &m, i32 *p)
+{
+    WILIS_UNROLL
+    for (int i = 0; i < kVecs; ++i)
+        m.v[i].store(p + i * VecI32::kLanes);
+}
+
+/** Every state at @p rest, state 0 (first in both layouts) at 0. */
+inline Metrics
+state0(i32 rest)
+{
+    i32 tmp[kStates];
+    for (int s = 0; s < kStates; ++s)
+        tmp[s] = rest;
+    tmp[0] = 0;
+    return load(tmp);
+}
+
+/** normalizeMetricsKernel() on registers: same max, same pinning. */
+inline void
+normalize(Metrics &m, VecI32 thr, VecI32 fl)
+{
+    VecI32 mv = m.v[0];
+    WILIS_UNROLL
+    for (int i = 1; i < kVecs; ++i)
+        mv = VecI32::max(mv, m.v[i]);
+    const VecI32 vmx = mv.spreadMax();
+    WILIS_UNROLL
+    for (int i = 0; i < kVecs; ++i) {
+        const VecI32 live = VecI32::gtMask(m.v[i], thr);
+        m.v[i] = VecI32::blend(fl, m.v[i] - vmx, live);
+    }
+}
+
+/**
+ * Branch metric per state for step @p j: bm[idx[s]] with the
+ * branchMetrics() table of decode/trellis_kernels.hh. Only the
+ * input-0 / choice-0 metric is formed: the code's outputs satisfy
+ * out1 = out0 ^ 3 (asserted by TrellisTables::get()), and
+ * bm[o ^ 3] = -bm[o], so the other branch is its negation.
+ */
+inline Metrics
+branch(const SoftBit *soft, int j, const Metrics &idx)
+{
+    const i32 la0 = soft[2 * j];
+    const i32 la1 = soft[2 * j + 1];
+    const i32 bm[4] = {-la0 - la1, la0 - la1, -la0 + la1, la0 + la1};
+    Metrics g;
+    WILIS_UNROLL
+    for (int i = 0; i < kVecs; ++i)
+        g.v[i] = VecI32::lookup4(bm, idx.v[i]);
+    return g;
+}
+
+/** Forward step: split alpha_j -> split alpha_{j+1}. */
+[[gnu::always_inline]] inline void
+alphaStep(Metrics &a, const Metrics &g, VecI32 thr, VecI32 fl)
+{
+    Metrics nat;
+    WILIS_UNROLL
+    for (int i = 0; i < kVecs; ++i) {
+        const int k = i % kHalf;
+        const VecI32 m0 = a.v[k] + g.v[i];
+        const VecI32 m1 = a.v[kHalf + k] - g.v[i];
+        nat.v[i] = VecI32::max(m0, m1);
+    }
+    normalize(nat, thr, fl);
+    WILIS_UNROLL
+    for (int i = 0; i < kHalf; ++i)
+        VecI32::deinterleave(nat.v[2 * i], nat.v[2 * i + 1], a.v[i],
+                             a.v[kHalf + i]);
+}
+
+/**
+ * Backward step: natural beta_{j+1} -> natural beta_j from the
+ * split branch sums t0 = bm + beta along input 0 (successor k) and
+ * t1 = -bm + beta along input 1 (successor 32 + k). With @p alpha_j
+ * (split) it also runs the decision unit on the same sums and
+ * returns best1 - best0, best_x = max(floor, max_s alpha_j + t_x).
+ */
+[[gnu::always_inline]] inline i32
+betaStep(Metrics &beta, const Metrics &g, const i32 *alpha_j,
+         VecI32 thr, VecI32 fl)
+{
+    VecI32 acc0 = fl;
+    VecI32 acc1 = fl;
+    Metrics m;
+    WILIS_UNROLL
+    for (int p = 0; p < kVecs; ++p) {
+        const int k = p % kHalf; // even states, then odd states
+        const VecI32 t0 = g.v[p] + beta.v[k];
+        const VecI32 t1 = beta.v[kHalf + k] - g.v[p];
+        if (alpha_j) {
+            const VecI32 a = VecI32::load(alpha_j + p * VecI32::kLanes);
+            acc0 = VecI32::max(acc0, a + t0);
+            acc1 = VecI32::max(acc1, a + t1);
+        }
+        m.v[p] = VecI32::max(t0, t1);
+    }
+    normalize(m, thr, fl);
+    WILIS_UNROLL
+    for (int i = 0; i < kHalf; ++i)
+        VecI32::interleave(m.v[i], m.v[kHalf + i], beta.v[2 * i],
+                           beta.v[2 * i + 1]);
+    return alpha_j ? acc1.reduceMax() - acc0.reduceMax() : 0;
+}
+
+} // namespace bcjr
+
+inline void
+bcjrMaxLogKernel(const TrellisView &tv, const SoftBit *soft,
+                 int steps, int block_len, i32 floor_threshold,
+                 i32 floor_value, i32 *alpha, SoftDecision *out)
+{
+    using namespace bcjr;
+    wilis_assert(tv.nStates == kStates && block_len > 0,
+                 "BCJR kernel needs %d states and a window, got %d / %d",
+                 kStates, tv.nStates, block_len);
+    if (steps <= 0)
+        return;
+    const VecI32 thr = VecI32::broadcast(floor_threshold);
+    const VecI32 fl = VecI32::broadcast(floor_value);
+
+    // Branch-metric indices: natural order for the forward ACS,
+    // split order for the backward one.
+    i32 split_out[kStates];
+    for (int k = 0; k < kStates / 2; ++k) {
+        split_out[k] = tv.fwdOut0[2 * k];
+        split_out[kStates / 2 + k] = tv.fwdOut0[2 * k + 1];
+    }
+    const Metrics fwd_idx = load(tv.revOut0);
+    const Metrics bwd_idx = load(split_out);
+
+    // --- Forward PMU: alpha_j for j < steps, stored split. The
+    // trellis starts in state 0.
+    Metrics a = state0(floor_value);
+    store(a, alpha);
+    for (int j = 0; j + 1 < steps; ++j) {
+        alphaStep(a, branch(soft, j, fwd_idx), thr, fl);
+        store(a, alpha + static_cast<size_t>(j + 1) * kStates);
+    }
+
+    // --- Sliding windows, last first. Window w's exact backward
+    // sweep over [w, w_end) starts from the provisional metric of
+    // its successor block. The provisional pass that yields window
+    // w-n's entry covers the very same steps, so the sweep carries it
+    // as a second, independent chain, seeded uniform (0). In the
+    // tail window that pass would start from the known end state
+    // (state 0 of the terminated trellis) and so equals the exact
+    // chain; it is not run twice.
+    const int n = block_len;
+    Metrics entry = state0(floor_value);
+    for (int w = ((steps - 1) / n) * n; w >= 0; w -= n) {
+        const int w_end = std::min(w + n, steps);
+        const bool tail = w_end == steps;
+        const bool carry = w > 0 && !tail;
+        Metrics beta = entry; // beta_{j+1} at step j
+        Metrics prov{}; // uniform seed: every state at 0
+        for (int j = w_end - 1; j >= w; --j) {
+            const Metrics g = branch(soft, j, bwd_idx);
+            const i32 *a_j = alpha + static_cast<size_t>(j) * kStates;
+            const i32 llr = betaStep(beta, g, a_j, thr, fl);
+            out[j].bit = llr > 0 ? 1 : 0;
+            out[j].llr = std::abs(static_cast<double>(llr));
+            if (carry)
+                betaStep(prov, g, nullptr, thr, fl);
+        }
+        entry = tail ? beta : prov;
+    }
 }
 
 // --------------------------------------------------------- demapper
@@ -614,8 +787,7 @@ inline const Ops kOps = {
     kBackend,
     simd::WILIS_SIMD_NS::kLevelName,
     &acsForwardKernel,
-    &acsBackwardKernel,
-    &bcjrDecisionKernel,
+    &bcjrMaxLogKernel,
     &normalizeMetricsKernel,
     &bestStateKernel,
     &demapBatchKernel,

@@ -323,18 +323,6 @@ struct VecI32 {
         __m256i b = _mm256_permutevar8x32_epi32(load(p + 8).v, idx);
         return {_mm256_permute2x128_si256(a, b, 0x20)};
     }
-    /** Lane i <- p[i / 2] (reads kLanes/2 elements only). */
-    static VecI32
-    loadHalfDup(const std::int32_t *p)
-    {
-        __m128i x =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
-        __m256i d = _mm256_inserti128_si256(
-            _mm256_castsi128_si256(x), x, 1);
-        const __m256i idx =
-            _mm256_setr_epi32(0, 0, 1, 1, 2, 2, 3, 3);
-        return {_mm256_permutevar8x32_epi32(d, idx)};
-    }
     /** Lane i <- tbl[idx lane i], idx lanes in 0..3. */
     static VecI32
     lookup4(const std::int32_t tbl[4], VecI32 idx)
@@ -342,6 +330,38 @@ struct VecI32 {
         __m256i t = _mm256_broadcastsi128_si256(_mm_loadu_si128(
             reinterpret_cast<const __m128i *>(tbl)));
         return {_mm256_permutevar8x32_epi32(t, idx.v)};
+    }
+
+    /**
+     * Split the 2*kLanes elements a ++ b into their even- and
+     * odd-indexed halves: even lane i <- (a ++ b)[2i], odd lane i
+     * <- (a ++ b)[2i + 1].
+     */
+    static void
+    deinterleave(VecI32 a, VecI32 b, VecI32 &even, VecI32 &odd)
+    {
+        const __m256 fa = _mm256_castsi256_ps(a.v);
+        const __m256 fb = _mm256_castsi256_ps(b.v);
+        // Per 128-bit half: (a0 a2 b0 b2 | a4 a6 b4 b6); the qword
+        // permute then restores ascending order across the halves.
+        const __m256i e = _mm256_castps_si256(
+            _mm256_shuffle_ps(fa, fb, _MM_SHUFFLE(2, 0, 2, 0)));
+        const __m256i o = _mm256_castps_si256(
+            _mm256_shuffle_ps(fa, fb, _MM_SHUFFLE(3, 1, 3, 1)));
+        even.v = _mm256_permute4x64_epi64(e, _MM_SHUFFLE(3, 1, 2, 0));
+        odd.v = _mm256_permute4x64_epi64(o, _MM_SHUFFLE(3, 1, 2, 0));
+    }
+    /**
+     * Inverse of deinterleave(): lo ++ hi <- (even[0], odd[0],
+     * even[1], odd[1], ...).
+     */
+    static void
+    interleave(VecI32 even, VecI32 odd, VecI32 &lo, VecI32 &hi)
+    {
+        const __m256i l = _mm256_unpacklo_epi32(even.v, odd.v);
+        const __m256i h = _mm256_unpackhi_epi32(even.v, odd.v);
+        lo.v = _mm256_permute2x128_si256(l, h, 0x20);
+        hi.v = _mm256_permute2x128_si256(l, h, 0x31);
     }
 
     friend VecI32 operator+(VecI32 a, VecI32 b) { return {_mm256_add_epi32(a.v, b.v)}; }
@@ -367,6 +387,19 @@ struct VecI32 {
     {
         return static_cast<unsigned>(
             _mm256_movemask_ps(_mm256_castsi256_ps(v)));
+    }
+
+    /** Every lane <- the maximum lane (reduceMax(), kept in lanes). */
+    VecI32
+    spreadMax() const
+    {
+        __m256i m = _mm256_max_epi32(
+            v, _mm256_permute2x128_si256(v, v, 0x01));
+        m = _mm256_max_epi32(
+            m, _mm256_shuffle_epi32(m, _MM_SHUFFLE(1, 0, 3, 2)));
+        m = _mm256_max_epi32(
+            m, _mm256_shuffle_epi32(m, _MM_SHUFFLE(2, 3, 0, 1)));
+        return {m};
     }
 
     std::int32_t
@@ -411,13 +444,6 @@ struct VecI32 {
             _mm_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1)))};
     }
     static VecI32
-    loadHalfDup(const std::int32_t *p)
-    {
-        __m128i x =
-            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p));
-        return {_mm_shuffle_epi32(x, _MM_SHUFFLE(1, 1, 0, 0))};
-    }
-    static VecI32
     lookup4(const std::int32_t tbl[4], VecI32 idx)
     {
         __m128i t =
@@ -427,6 +453,22 @@ struct VecI32 {
             _mm_mullo_epi32(idx.v, _mm_set1_epi32(0x04040404)),
             _mm_set1_epi32(0x03020100));
         return {_mm_shuffle_epi8(t, ctrl)};
+    }
+    static void
+    deinterleave(VecI32 a, VecI32 b, VecI32 &even, VecI32 &odd)
+    {
+        const __m128 fa = _mm_castsi128_ps(a.v);
+        const __m128 fb = _mm_castsi128_ps(b.v);
+        even.v = _mm_castps_si128(
+            _mm_shuffle_ps(fa, fb, _MM_SHUFFLE(2, 0, 2, 0)));
+        odd.v = _mm_castps_si128(
+            _mm_shuffle_ps(fa, fb, _MM_SHUFFLE(3, 1, 3, 1)));
+    }
+    static void
+    interleave(VecI32 even, VecI32 odd, VecI32 &lo, VecI32 &hi)
+    {
+        lo.v = _mm_unpacklo_epi32(even.v, odd.v);
+        hi.v = _mm_unpackhi_epi32(even.v, odd.v);
     }
 
     friend VecI32 operator+(VecI32 a, VecI32 b) { return {_mm_add_epi32(a.v, b.v)}; }
@@ -451,6 +493,15 @@ struct VecI32 {
             _mm_movemask_ps(_mm_castsi128_ps(v)));
     }
 
+    VecI32
+    spreadMax() const
+    {
+        __m128i m = _mm_max_epi32(
+            v, _mm_shuffle_epi32(v, _MM_SHUFFLE(1, 0, 3, 2)));
+        m = _mm_max_epi32(m, _mm_shuffle_epi32(m, _MM_SHUFFLE(2, 3, 0, 1)));
+        return {m};
+    }
+
     std::int32_t
     reduceMax() const
     {
@@ -468,11 +519,22 @@ struct VecI32 {
     void store(std::int32_t *p) const { *p = v; }
     static VecI32 loadEven(const std::int32_t *p) { return {p[0]}; }
     static VecI32 loadOdd(const std::int32_t *p) { return {p[1]}; }
-    static VecI32 loadHalfDup(const std::int32_t *p) { return {p[0]}; }
     static VecI32
     lookup4(const std::int32_t tbl[4], VecI32 idx)
     {
         return {tbl[idx.v]};
+    }
+    static void
+    deinterleave(VecI32 a, VecI32 b, VecI32 &even, VecI32 &odd)
+    {
+        even = a;
+        odd = b;
+    }
+    static void
+    interleave(VecI32 even, VecI32 odd, VecI32 &lo, VecI32 &hi)
+    {
+        lo = even;
+        hi = odd;
     }
 
     friend VecI32 operator+(VecI32 a, VecI32 b) { return {a.v + b.v}; }
@@ -487,6 +549,7 @@ struct VecI32 {
         return {mask.v ? b.v : a.v};
     }
     unsigned moveMask() const { return v ? 1u : 0u; }
+    VecI32 spreadMax() const { return *this; }
     std::int32_t reduceMax() const { return v; }
 #endif
 };

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 
+#include "common/kernels.hh"
 #include "common/logging.hh"
 #include "decode/trellis_kernels.hh"
 
@@ -12,12 +13,9 @@ namespace wilis {
 namespace decode {
 
 BcjrDecoder::BcjrDecoder(const li::Config &cfg)
-    : block_len(static_cast<int>(cfg.getInt("block_len", 64))),
+    : block_len(windowKey(cfg, "block_len", 64)),
       logmap(cfg.getBool("logmap", false))
-{
-    wilis_assert(block_len >= phy::ConvCode::kConstraint,
-                 "BCJR block length %d too short", block_len);
-}
+{}
 
 void
 BcjrDecoder::decodeInto(SoftView soft, std::span<SoftDecision> out)
@@ -36,80 +34,14 @@ BcjrDecoder::decodeInto(SoftView soft, std::span<SoftDecision> out)
 void
 BcjrDecoder::decodeMaxLog(SoftView soft, std::span<SoftDecision> out)
 {
+    // Forward PMU, provisional and exact backward PMUs and the
+    // decision unit run as one kernel call per frame; alpha_i is the
+    // forward-metric store, reused across frames.
     const int steps = static_cast<int>(soft.size() / 2);
-
-    // --- Forward PMU: alpha for every step boundary.
-    std::vector<std::int32_t> &alpha = alpha_i;
-    alpha.assign((static_cast<size_t>(steps) + 1) * kStates,
-                 kMetricFloor);
-    alpha[0] = 0; // trellis starts in state 0
-    std::int32_t bm[4];
-    std::uint64_t dummy;
-    for (int j = 0; j < steps; ++j) {
-        branchMetrics(soft[2 * static_cast<size_t>(j)],
-                      soft[2 * static_cast<size_t>(j) + 1], bm);
-        std::int32_t *a_j = &alpha[static_cast<size_t>(j) * kStates];
-        std::int32_t *a_j1 =
-            &alpha[(static_cast<size_t>(j) + 1) * kStates];
-        acsForward(a_j, bm, a_j1, dummy, nullptr);
-        normalizeMetrics(a_j1);
-    }
-
-    // --- Sliding-window backward passes + decision unit.
-    std::array<std::int32_t, kStates> beta;
-    std::array<std::int32_t, kStates> beta_prev;
-
-    auto exact_end = [](std::array<std::int32_t, kStates> &b) {
-        b.fill(kMetricFloor);
-        b[0] = 0; // terminated trellis ends in state 0
-    };
-
-    const int n = block_len;
-    const int last_start = ((steps - 1) / n) * n;
-    for (int w = last_start; w >= 0; w -= n) {
-        const int w_end = std::min(w + n, steps);
-
-        // Entry metric for this window's backward pass.
-        if (w_end == steps) {
-            exact_end(beta);
-        } else {
-            // Provisional backward PMU over the following block,
-            // seeded with the "uncertain" (uniform) metric.
-            const int p_end = std::min(w_end + n, steps);
-            if (p_end == steps)
-                exact_end(beta);
-            else
-                beta.fill(0);
-            for (int j = p_end - 1; j >= w_end; --j) {
-                branchMetrics(soft[2 * static_cast<size_t>(j)],
-                              soft[2 * static_cast<size_t>(j) + 1],
-                              bm);
-                acsBackward(beta.data(), bm, beta_prev.data());
-                beta = beta_prev;
-                normalizeMetrics(beta.data());
-            }
-        }
-
-        // Exact backward pass over [w, w_end) with the decision unit:
-        // at step j, beta holds the metrics for boundary j+1.
-        for (int j = w_end - 1; j >= w; --j) {
-            branchMetrics(soft[2 * static_cast<size_t>(j)],
-                          soft[2 * static_cast<size_t>(j) + 1], bm);
-            const std::int32_t *a_j =
-                &alpha[static_cast<size_t>(j) * kStates];
-            std::int32_t best1 = kMetricFloor;
-            std::int32_t best0 = kMetricFloor;
-            bcjrDecision(a_j, bm, beta.data(), best0, best1);
-            std::int32_t llr = best1 - best0;
-            out[static_cast<size_t>(j)].bit = llr > 0 ? 1 : 0;
-            out[static_cast<size_t>(j)].llr =
-                std::abs(static_cast<double>(llr));
-
-            acsBackward(beta.data(), bm, beta_prev.data());
-            beta = beta_prev;
-            normalizeMetrics(beta.data());
-        }
-    }
+    alpha_i.resize(static_cast<size_t>(steps) * kStates);
+    kernels::ops().bcjrMaxLog(TrellisTables::view(), soft.data(), steps,
+                              block_len, kMetricFloor / 2,
+                              kMetricFloor, alpha_i.data(), out.data());
 }
 
 void

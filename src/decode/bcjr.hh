@@ -36,6 +36,8 @@ class BcjrDecoder : public SoftDecoder
      *    performance).
      *  - logmap: use exact log-MAP (max*) arithmetic instead of
      *    max-log (default false).
+     *
+     * block_len must lie in [7, kMaxDecoderWindow] (windowKey()).
      */
     explicit BcjrDecoder(const li::Config &cfg = li::Config());
 

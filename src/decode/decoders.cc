@@ -5,9 +5,13 @@
 
 #include "decode/soft_decoder.hh"
 
+#include <string>
+
+#include "common/logging.hh"
 #include "decode/bcjr.hh"
 #include "decode/sova.hh"
 #include "decode/viterbi.hh"
+#include "phy/conv_code.hh"
 
 namespace wilis {
 namespace decode {
@@ -46,6 +50,17 @@ const bool registered = [] {
 }();
 
 } // namespace
+
+int
+windowKey(const li::Config &cfg, const char *key, int def)
+{
+    const long v = cfg.getInt(key, def);
+    if (v < phy::ConvCode::kConstraint || v > kMaxDecoderWindow)
+        wilis_fatal("decoder key '%s' = %s outside [%d, %ld]", key,
+                    cfg.getString(key, std::to_string(def)).c_str(),
+                    phy::ConvCode::kConstraint, kMaxDecoderWindow);
+    return static_cast<int>(v);
+}
 
 std::unique_ptr<SoftDecoder>
 makeDecoder(const std::string &name, const li::Config &cfg)

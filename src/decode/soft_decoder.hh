@@ -75,6 +75,20 @@ class SoftDecoder
     virtual int pipelineLatencyCycles() const = 0;
 };
 
+/**
+ * Longest decoder window or traceback depth a config may ask for:
+ * 2^16 steps, twice the longest 802.11a frame (4,095-byte PSDU).
+ */
+constexpr long kMaxDecoderWindow = 1L << 16;
+
+/**
+ * Read the window / traceback-length key @p key of a decoder config
+ * (@p def when absent). Values outside [ConvCode::kConstraint,
+ * kMaxDecoderWindow] are a config error: wilis_fatal() names the key
+ * and the value as written, before any narrowing to int.
+ */
+int windowKey(const li::Config &cfg, const char *key, int def);
+
 /** Shorthand for the decoder plug-n-play registry. */
 using DecoderRegistry = li::Registry<SoftDecoder>;
 

@@ -29,6 +29,8 @@ class SovaDecoder : public SoftDecoder
      * Config keys:
      *  - traceback_l: first traceback unit length (default 64)
      *  - traceback_k: second traceback unit length (default 64)
+     *
+     * Both must lie in [7, kMaxDecoderWindow] (windowKey()).
      */
     explicit SovaDecoder(const li::Config &cfg = li::Config());
 

@@ -55,6 +55,15 @@ TrellisTables::get()
                              f.next1[s] == kStates / 2 + s / 2,
                          "state %d breaks the successor butterfly",
                          s);
+            // Both generators tap the input and the oldest register
+            // bit, so the two branches out of (or into) a state emit
+            // complementary output pairs: the whole-frame BCJR
+            // kernel forms one branch metric and negates it.
+            wilis_assert(f.fwdOut1[s] == (f.fwdOut0[s] ^ 3) &&
+                             f.revOut1[s] == (f.revOut0[s] ^ 3),
+                         "state %d breaks the complement-output "
+                         "property",
+                         s);
         }
         return t;
     }();
@@ -84,24 +93,6 @@ acsForward(const std::int32_t pm_in[kStates], const std::int32_t bm[4],
 {
     kernels::ops().acsForward(TrellisTables::view(), pm_in, bm,
                               pm_out, &choices, delta);
-}
-
-void
-acsBackward(const std::int32_t beta_next[kStates],
-            const std::int32_t bm[4], std::int32_t beta_out[kStates])
-{
-    kernels::ops().acsBackward(TrellisTables::view(), beta_next, bm,
-                               beta_out);
-}
-
-void
-bcjrDecision(const std::int32_t alpha[kStates],
-             const std::int32_t bm[4],
-             const std::int32_t beta[kStates], std::int32_t &best0,
-             std::int32_t &best1)
-{
-    kernels::ops().bcjrDecision(TrellisTables::view(), alpha, bm,
-                                beta, &best0, &best1);
 }
 
 void

@@ -1,10 +1,12 @@
 /**
  * @file
  * Shared trellis kernels: the branch metric unit (BMU) and the
- * add-compare-select path metric update (PMU/ACS) used by Viterbi,
- * SOVA and BCJR alike -- the paper notes these components are common
- * to both soft decoders and differ only in path permutation and ACS
- * flavour (section 4.3).
+ * add-compare-select path metric update (PMU/ACS) -- the paper notes
+ * these components are common to both soft decoders and differ only
+ * in path permutation and ACS flavour (section 4.3). Viterbi and
+ * SOVA step through them here; the max-log BCJR runs the same
+ * arithmetic as one whole-frame kernel (kernels::Ops::bcjrMaxLog)
+ * over the tables built below.
  */
 
 #ifndef WILIS_DECODE_TRELLIS_KERNELS_HH
@@ -99,26 +101,6 @@ void acsForward(const std::int32_t pm_in[kStates],
                 const std::int32_t bm[4],
                 std::int32_t pm_out[kStates], std::uint64_t &choices,
                 std::int32_t *delta);
-
-/**
- * One backward path-metric step (the reverse-permutation PMU used by
- * BCJR): beta[j][s] = max over inputs x of (bm(out(s,x)) +
- * beta[j+1][next(s,x)]).
- */
-void acsBackward(const std::int32_t beta_next[kStates],
-                 const std::int32_t bm[4],
-                 std::int32_t beta_out[kStates]);
-
-/**
- * Max-log BCJR decision unit for one trellis step: folds
- * max(alpha[s] + bm[out(s,x)] + beta[next(s,x)]) over all states
- * into @p best0 / @p best1 (per input hypothesis x), which the
- * caller must pre-seed (typically with kMetricFloor).
- */
-void bcjrDecision(const std::int32_t alpha[kStates],
-                  const std::int32_t bm[4],
-                  const std::int32_t beta[kStates],
-                  std::int32_t &best0, std::int32_t &best1);
 
 /** Subtract the maximum from @p pm so metrics stay bounded. */
 void normalizeMetrics(std::int32_t pm[kStates]);

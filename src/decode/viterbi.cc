@@ -9,11 +9,8 @@ namespace wilis {
 namespace decode {
 
 ViterbiDecoder::ViterbiDecoder(const li::Config &cfg)
-    : tb_len(static_cast<int>(cfg.getInt("traceback_len", 64)))
-{
-    wilis_assert(tb_len >= phy::ConvCode::kConstraint,
-                 "traceback length %d too short", tb_len);
-}
+    : tb_len(windowKey(cfg, "traceback_len", 64))
+{}
 
 void
 ViterbiDecoder::decodeInto(SoftView soft, std::span<SoftDecision> out)

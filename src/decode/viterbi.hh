@@ -22,6 +22,8 @@ class ViterbiDecoder : public SoftDecoder
      *  - traceback_len: modeled hardware traceback window (default
      *    64); affects only the latency/area model, the software
      *    kernel always tracebacks the full block.
+     *
+     * Window keys must lie in [7, kMaxDecoderWindow] (windowKey()).
      */
     explicit ViterbiDecoder(const li::Config &cfg = li::Config());
 

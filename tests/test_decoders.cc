@@ -284,22 +284,24 @@ fnv1a(std::uint64_t h, const void *data, size_t n)
  * depuncture zeros of 802.11a reinserted for @p mode 1 / 2.
  */
 SoftVec
-pinSoft(int steps, int mode, std::uint64_t seed)
+pinSoft(int steps, int mode, int tag)
 {
+    const auto seed = static_cast<std::uint64_t>(tag);
     const int data_len = std::max(0, steps - ConvCode::kTailBits);
-    BitVec coded = convCode().encode(randomBits(
-        static_cast<size_t>(data_len), seed), true);
+    const BitVec data = randomBits(static_cast<size_t>(data_len), seed);
+    BitVec coded = convCode().encode(data, true);
     coded.resize(2 * static_cast<size_t>(steps), 0);
     GaussianSource g(seed ^ 0x5eed);
     static const int kKeep23[4] = {1, 1, 1, 0};
     static const int kKeep34[6] = {1, 1, 1, 0, 0, 1};
     SoftVec soft(coded.size());
     for (size_t i = 0; i < coded.size(); ++i) {
-        double v = (coded[i] ? 40.0 : -40.0) + 30.0 * g.next();
-        soft[i] = static_cast<SoftBit>(
-            std::clamp(std::lround(v), -127l, 127l));
-        if ((mode == 1 && !kKeep23[i % 4]) ||
-            (mode == 2 && !kKeep34[i % 6]))
+        const double v = (coded[i] ? 40.0 : -40.0) + 30.0 * g.next();
+        const long q = std::lround(v);
+        soft[i] = static_cast<SoftBit>(std::clamp(q, -127l, 127l));
+        const bool punct23 = mode == 1 && !kKeep23[i % 4];
+        const bool punct34 = mode == 2 && !kKeep34[i % 6];
+        if (punct23 || punct34)
             soft[i] = 0;
     }
     return soft;
@@ -320,10 +322,7 @@ bcjrPinHash(int n)
     std::uint64_t h = 0xcbf29ce484222325ull;
     for (int steps : {7, n - 1, n, n + 1, 2 * n, 1103}) {
         for (int mode = 0; mode < 3; ++mode) {
-            SoftVec soft = pinSoft(
-                steps, mode,
-                static_cast<std::uint64_t>(1000 * n + 10 * steps +
-                                           mode));
+            SoftVec soft = pinSoft(steps, mode, 1000 * n + 10 * steps + mode);
             for (const SoftDecision &d : dec.decodeBlock(soft)) {
                 h = fnv1a(h, &d.bit, sizeof(d.bit));
                 h = fnv1a(h, &d.llr, sizeof(d.llr));
@@ -364,4 +363,53 @@ TEST(DecodersDeath, OddStreamPanics)
     auto dec = makeDecoder("viterbi");
     SoftVec bad(15, 1);
     EXPECT_DEATH(dec->decodeBlock(bad), "odd");
+}
+
+// Window and traceback keys are range-checked as written, before any
+// narrowing: out-of-range values are config errors naming the key,
+// never an abort or a silent wrap to a valid-looking int.
+TEST(DecodersDeath, WindowKeysOutOfRangeAreFatal)
+{
+    struct Bad {
+        const char *decoder;
+        const char *key;
+        const char *value;
+    };
+    const Bad bad[] = {
+        {"bcjr", "block_len", "3"},
+        {"bcjr", "block_len", "4294967360"}, // 2^32 + 64
+        {"bcjr", "block_len", "65537"},
+        {"bcjr-logmap", "block_len", "-64"},
+        {"viterbi", "traceback_len", "6"},
+        {"viterbi", "traceback_len", "4294967360"},
+        {"sova", "traceback_l", "0"},
+        {"sova", "traceback_k", "4294967297"}, // 2^32 + 1
+        {"sova", "traceback_k", "1"},
+    };
+    for (const Bad &b : bad) {
+        li::Config cfg;
+        cfg.set(b.key, b.value);
+        std::string want = "decoder key '";
+        want += b.key + std::string("' = ") + b.value + " outside";
+        const auto exit1 = ::testing::ExitedWithCode(1);
+        EXPECT_EXIT(makeDecoder(b.decoder, cfg), exit1, want)
+            << b.decoder << " " << b.key << "=" << b.value;
+    }
+}
+
+TEST(Decoders, WindowKeysAcceptTheirWholeRange)
+{
+    const long lo = ConvCode::kConstraint;
+    for (long v : {lo, kMaxDecoderWindow}) {
+        li::Config cfg;
+        const std::string s = std::to_string(v);
+        cfg.set("block_len", s);
+        cfg.set("traceback_len", s);
+        cfg.set("traceback_l", s);
+        cfg.set("traceback_k", s);
+        EXPECT_EQ(BcjrDecoder(cfg).blockLen(), v);
+        EXPECT_EQ(ViterbiDecoder(cfg).tracebackLen(), v);
+        EXPECT_EQ(SovaDecoder(cfg).tracebackL(), v);
+        EXPECT_EQ(SovaDecoder(cfg).tracebackK(), v);
+    }
 }

@@ -2,8 +2,8 @@
  * @file
  * Kernel-dispatch test suite: every SIMD backend available on the
  * host must be BIT-EXACT with the scalar reference on randomized
- * inputs for each kernel in the table (demapper LLRs, forward /
- * backward ACS, the BCJR decision unit, metric normalization,
+ * inputs for each kernel in the table (demapper LLRs, forward ACS,
+ * the whole-frame max-log BCJR, metric normalization,
  * channel complex scale and noise injection, and the prototype i16
  * saturating ACS), and forcing the scalar backend must reproduce the
  * full-pipeline results of the widest backend on a rate x channel
@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/cpu_features.hh"
@@ -141,39 +142,86 @@ TEST_F(SimdKernelTest, AcsForwardMatchesScalar)
     }
 }
 
-TEST_F(SimdKernelTest, AcsBackwardAndBcjrDecisionMatchScalar)
+namespace {
+
+/** Run one backend's whole-frame max-log BCJR over @p soft. */
+std::vector<SoftDecision>
+bcjrFrame(const Ops &ops, const SoftVec &soft, int block_len)
 {
+    const size_t steps = soft.size() / 2;
+    std::vector<std::int32_t> alpha(steps * decode::kStates);
+    std::vector<SoftDecision> out(steps);
     const auto &tv = decode::TrellisTables::view();
+    const std::int32_t fl = decode::kMetricFloor;
+    ops.bcjrMaxLog(tv, soft.data(), static_cast<int>(steps), block_len,
+                   fl / 2, fl, alpha.data(), out.data());
+    return out;
+}
+
+/** Soft values uniform in [-rail, rail], 1 in 8 erased. */
+SoftVec
+randomSoft(SplitMix64 &rng, int steps, int rail)
+{
+    SoftVec soft(2 * static_cast<size_t>(steps));
+    for (auto &x : soft) {
+        x = static_cast<SoftBit>(rng.nextBelow(
+                static_cast<std::uint64_t>(2 * rail + 1))) -
+            rail;
+        if (rng.nextBelow(8) == 0)
+            x = 0;
+    }
+    return soft;
+}
+
+} // namespace
+
+// The whole-frame BCJR kernel on every vector backend must reproduce
+// the scalar one decision for decision, bit and LLR: random frames,
+// the window-edge lengths, all-erasure and rail-saturated streams.
+TEST_F(SimdKernelTest, BcjrMaxLogFrameMatchesScalar)
+{
     SplitMix64 rng(0xBC38);
+    struct Case {
+        SoftVec soft;
+        int blockLen;
+        std::string what;
+    };
+    std::vector<Case> cases;
+    for (int round = 0; round < 40; ++round) {
+        const int n = std::vector<int>{7, 16, 33, 64, 100}[round % 5];
+        const int steps = 1 + static_cast<int>(rng.nextBelow(1200));
+        const std::string tag = "random " + std::to_string(round);
+        cases.push_back({randomSoft(rng, steps, 127), n, tag});
+    }
+    for (int n : {7, 16, 64, 100}) {
+        for (int steps : {0, 1, 7, n - 1, n, n + 1, 2 * n, 1103}) {
+            std::string tag = "n=" + std::to_string(n);
+            tag += " steps=" + std::to_string(steps);
+            cases.push_back({randomSoft(rng, steps, 63), n, "edge " + tag});
+            const SoftVec erased(2 * static_cast<size_t>(steps), 0);
+            cases.push_back({erased, n, "all-erasure " + tag});
+            SoftVec rails = randomSoft(rng, steps, 1);
+            for (auto &x : rails)
+                x = x < 0 ? -32767 : 32767;
+            cases.push_back({rails, n, "saturated " + tag});
+        }
+    }
+
+    const Ops &ref = tableOf(Backend::Scalar);
     for (Backend b : vectorBackends()) {
         const Ops &vec = tableOf(b);
-        const Ops &ref = tableOf(Backend::Scalar);
-        for (int round = 0; round < 200; ++round) {
-            auto beta = randomMetrics(rng, decode::kStates, 1 << 20);
-            auto alpha = randomMetrics(rng, decode::kStates, 1 << 20);
-            std::int32_t bm[4];
-            for (auto &x : bm)
-                x = static_cast<std::int32_t>(rng.nextBelow(4096)) -
-                    2048;
-
-            std::int32_t out_ref[decode::kStates];
-            std::int32_t out_vec[decode::kStates];
-            ref.acsBackward(tv, beta.data(), bm, out_ref);
-            vec.acsBackward(tv, beta.data(), bm, out_vec);
-            ASSERT_EQ(0, std::memcmp(out_ref, out_vec,
-                                     sizeof(out_ref)))
-                << kernels::backendName(b) << " round " << round;
-
-            std::int32_t b0r = decode::kMetricFloor;
-            std::int32_t b1r = decode::kMetricFloor;
-            std::int32_t b0v = decode::kMetricFloor;
-            std::int32_t b1v = decode::kMetricFloor;
-            ref.bcjrDecision(tv, alpha.data(), bm, beta.data(), &b0r,
-                             &b1r);
-            vec.bcjrDecision(tv, alpha.data(), bm, beta.data(), &b0v,
-                             &b1v);
-            ASSERT_EQ(b0r, b0v) << kernels::backendName(b);
-            ASSERT_EQ(b1r, b1v) << kernels::backendName(b);
+        for (const Case &c : cases) {
+            auto want = bcjrFrame(ref, c.soft, c.blockLen);
+            auto got = bcjrFrame(vec, c.soft, c.blockLen);
+            ASSERT_EQ(want.size(), got.size());
+            for (size_t j = 0; j < want.size(); ++j) {
+                ASSERT_EQ(want[j].bit, got[j].bit)
+                    << kernels::backendName(b) << " " << c.what
+                    << " step " << j;
+                ASSERT_EQ(want[j].llr, got[j].llr)
+                    << kernels::backendName(b) << " " << c.what
+                    << " step " << j;
+            }
         }
     }
 }
