@@ -212,7 +212,7 @@ normalize(Metrics &m, VecI32 thr, VecI32 fl)
     WILIS_UNROLL
     for (int i = 1; i < kVecs; ++i)
         mv = VecI32::max(mv, m.v[i]);
-    const VecI32 vmx = mv.spreadMax();
+    const VecI32 vmx = VecI32::broadcast(mv.reduceMax());
     WILIS_UNROLL
     for (int i = 0; i < kVecs; ++i) {
         const VecI32 live = VecI32::gtMask(m.v[i], thr);

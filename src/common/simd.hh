@@ -389,19 +389,6 @@ struct VecI32 {
             _mm256_movemask_ps(_mm256_castsi256_ps(v)));
     }
 
-    /** Every lane <- the maximum lane (reduceMax(), kept in lanes). */
-    VecI32
-    spreadMax() const
-    {
-        __m256i m = _mm256_max_epi32(
-            v, _mm256_permute2x128_si256(v, v, 0x01));
-        m = _mm256_max_epi32(
-            m, _mm256_shuffle_epi32(m, _MM_SHUFFLE(1, 0, 3, 2)));
-        m = _mm256_max_epi32(
-            m, _mm256_shuffle_epi32(m, _MM_SHUFFLE(2, 3, 0, 1)));
-        return {m};
-    }
-
     std::int32_t
     reduceMax() const
     {
@@ -493,15 +480,6 @@ struct VecI32 {
             _mm_movemask_ps(_mm_castsi128_ps(v)));
     }
 
-    VecI32
-    spreadMax() const
-    {
-        __m128i m = _mm_max_epi32(
-            v, _mm_shuffle_epi32(v, _MM_SHUFFLE(1, 0, 3, 2)));
-        m = _mm_max_epi32(m, _mm_shuffle_epi32(m, _MM_SHUFFLE(2, 3, 0, 1)));
-        return {m};
-    }
-
     std::int32_t
     reduceMax() const
     {
@@ -549,7 +527,6 @@ struct VecI32 {
         return {mask.v ? b.v : a.v};
     }
     unsigned moveMask() const { return v ? 1u : 0u; }
-    VecI32 spreadMax() const { return *this; }
     std::int32_t reduceMax() const { return v; }
 #endif
 };

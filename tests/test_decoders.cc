@@ -284,24 +284,22 @@ fnv1a(std::uint64_t h, const void *data, size_t n)
  * depuncture zeros of 802.11a reinserted for @p mode 1 / 2.
  */
 SoftVec
-pinSoft(int steps, int mode, int tag)
+pinSoft(int steps, int mode, std::uint64_t seed)
 {
-    const auto seed = static_cast<std::uint64_t>(tag);
     const int data_len = std::max(0, steps - ConvCode::kTailBits);
-    const BitVec data = randomBits(static_cast<size_t>(data_len), seed);
-    BitVec coded = convCode().encode(data, true);
+    BitVec coded = convCode().encode(randomBits(
+        static_cast<size_t>(data_len), seed), true);
     coded.resize(2 * static_cast<size_t>(steps), 0);
     GaussianSource g(seed ^ 0x5eed);
     static const int kKeep23[4] = {1, 1, 1, 0};
     static const int kKeep34[6] = {1, 1, 1, 0, 0, 1};
     SoftVec soft(coded.size());
     for (size_t i = 0; i < coded.size(); ++i) {
-        const double v = (coded[i] ? 40.0 : -40.0) + 30.0 * g.next();
-        const long q = std::lround(v);
-        soft[i] = static_cast<SoftBit>(std::clamp(q, -127l, 127l));
-        const bool punct23 = mode == 1 && !kKeep23[i % 4];
-        const bool punct34 = mode == 2 && !kKeep34[i % 6];
-        if (punct23 || punct34)
+        double v = (coded[i] ? 40.0 : -40.0) + 30.0 * g.next();
+        soft[i] = static_cast<SoftBit>(
+            std::clamp(std::lround(v), -127l, 127l));
+        if ((mode == 1 && !kKeep23[i % 4]) ||
+            (mode == 2 && !kKeep34[i % 6]))
             soft[i] = 0;
     }
     return soft;
@@ -322,7 +320,10 @@ bcjrPinHash(int n)
     std::uint64_t h = 0xcbf29ce484222325ull;
     for (int steps : {7, n - 1, n, n + 1, 2 * n, 1103}) {
         for (int mode = 0; mode < 3; ++mode) {
-            SoftVec soft = pinSoft(steps, mode, 1000 * n + 10 * steps + mode);
+            SoftVec soft = pinSoft(
+                steps, mode,
+                static_cast<std::uint64_t>(1000 * n + 10 * steps +
+                                           mode));
             for (const SoftDecision &d : dec.decodeBlock(soft)) {
                 h = fnv1a(h, &d.bit, sizeof(d.bit));
                 h = fnv1a(h, &d.llr, sizeof(d.llr));
