@@ -10,9 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/kernels.hh"
+#include "common/snapshot.hh"
+#include "mac/packet_trace.hh"
+#include "sim/multicell_detail.hh"
 #include "sim/multicell_sim.hh"
 #include "sim/network_sim.hh"
 
@@ -206,6 +212,179 @@ TEST(Multicell, FullPhyRungBitIdenticalAt1_2_8Threads)
     spec.fidelity.mode = FidelityMode::Full;
     spec.calibrationFile.clear();
     expectThreadCountInvariant(spec, 40);
+}
+
+// ------------------------------------------- golden per-user pins
+
+namespace {
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+/** FNV-1a over @p bytes, chained through @p h. */
+std::uint64_t
+fnv1a(std::uint64_t h, const std::string &bytes)
+{
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/**
+ * FNV-1a over the checkpoint serialization of every user's
+ * UserStats in id order, then the aggregate's: every counter,
+ * every raw moment accumulator and every histogram bin.
+ */
+std::uint64_t
+statsHash(const NetworkResult &r)
+{
+    SnapshotWriter w(1, "golden");
+    for (const UserStats &u : r.users)
+        sim::detail::saveUserStats(w, u);
+    sim::detail::saveUserStats(w, r.aggregate);
+    return fnv1a(kFnvBasis, w.bytes());
+}
+
+/** FNV-1a over the finalized trace text (0 when untraced). */
+std::uint64_t
+traceHash(const NetworkResult &r)
+{
+    return r.trace ? fnv1a(kFnvBasis, r.trace->toText()) : 0;
+}
+
+/** Forces the scalar kernel backend for one scope. */
+struct ScalarBackendScope {
+    ScalarBackendScope()
+    {
+        EXPECT_TRUE(kernels::setBackend(kernels::Backend::Scalar));
+    }
+    ~ScalarBackendScope()
+    {
+        kernels::setBackend(kernels::availableBackends().back());
+    }
+};
+
+struct GoldenCase {
+    const char *name;
+    NetworkSpec spec;
+    std::uint64_t slots;
+    bool scalarBackend;
+    std::uint64_t stats;
+    std::uint64_t trace; // 0 = untraced
+};
+
+NetworkSpec
+calibrated(const char *preset)
+{
+    NetworkSpec spec = networkPreset(preset);
+    spec.calibrationFile = calibrationPath();
+    return spec;
+}
+
+std::vector<GoldenCase>
+goldenCases()
+{
+    NetworkSpec rr = calibrated("grid-3x3");
+    NetworkSpec pf = rr;
+    pf.scheduler.kind = mac::SchedulerKind::ProportionalFair;
+    NetworkSpec classes = rr;
+    classes.traffic.qdisc = mac::QdiscKind::StrictPriority;
+    classes.traffic.controlRate = 0.05;
+    classes.scheduler.contention = mac::ContentionMode::Fixed;
+    classes.trace = true;
+    NetworkSpec full = networkPreset("grid-3x3");
+    full.numUsers = 8;
+    full.topology.rows = 2;
+    full.topology.cols = 2;
+    full.link.payloadBits = 400;
+    full.fidelity.mode = FidelityMode::Full;
+    full.calibrationFile.clear();
+    NetworkSpec dense = calibrated("dense-urban-10k");
+    dense.trace = true;
+    NetworkSpec mobile = calibrated("urban-mobile");
+    mobile.trace = true;
+    return {
+        {"grid-3x3 rr", rr, 120, false, 0x8a2f58bcf0e9d6d7ull, 0},
+        {"grid-3x3 pf", pf, 120, false, 0x4d12e75cc89438eaull, 0},
+        {"grid-3x3 classes", classes, 120, false,
+         0xb36e61fae3e767b8ull, 0x3c3acb54ce4125acull},
+        {"full-phy 2x2", full, 40, false, 0xf44c570492ce6ff4ull, 0},
+        {"dense-urban-10k", dense, 16, false, 0xa3a93fcca1e98782ull,
+         0xb089894137a8fa4bull},
+        {"dense-urban-10k scalar", dense, 16, true,
+         0xa3a93fcca1e98782ull, 0xb089894137a8fa4bull},
+        {"urban-mobile", mobile, 600, false, 0x98a0bd7d67244dfcull,
+         0xc5c479b9a1235194ull},
+    };
+}
+
+void
+expectGolden(const GoldenCase &c, const NetworkResult &r)
+{
+    EXPECT_EQ(statsHash(r), c.stats)
+        << std::hex << "stats 0x" << statsHash(r);
+    EXPECT_EQ(traceHash(r), c.trace)
+        << std::hex << "trace 0x" << traceHash(r);
+}
+
+} // namespace
+
+/**
+ * Golden pins of the preset matrix: per-user statistics and the
+ * packet trace, hashed, at 1, 2 and 8 worker threads. The values
+ * were recorded when two independent multi-cell engines (a per-user
+ * object walk and the SoA engine) both produced exactly these bits.
+ */
+TEST(Multicell, GoldenPerUserPins)
+{
+    for (const GoldenCase &c : goldenCases()) {
+        std::unique_ptr<ScalarBackendScope> scalar;
+        if (c.scalarBackend)
+            scalar = std::make_unique<ScalarBackendScope>();
+        for (const char *engine : {"peruser", "soa"}) {
+            for (int threads : {1, 2, 8}) {
+                SCOPED_TRACE(std::string(c.name) + " " + engine +
+                             " @ " + std::to_string(threads));
+                NetworkSpec spec = c.spec;
+                spec.engine = engine;
+                expectGolden(c, NetworkSim(spec).run(c.slots,
+                                                     threads));
+            }
+        }
+    }
+}
+
+/**
+ * A run resumed from a mid-horizon checkpoint reproduces the
+ * uninterrupted urban-mobile pin at any thread count.
+ */
+TEST(Multicell, GoldenPinsHoldAcrossCheckpointResume)
+{
+    const std::vector<GoldenCase> cases = goldenCases();
+    const GoldenCase &c = cases.back();
+    const std::string ckpt =
+        ::testing::TempDir() + "wilis_golden_resume.snap";
+    for (const char *saver : {"peruser", "soa"}) {
+        NetworkSpec saving = c.spec;
+        saving.engine = saver;
+        saving.checkpoint.file = ckpt;
+        saving.checkpoint.everySlots = c.slots / 2;
+        expectGolden(c, NetworkSim(saving).run(c.slots, 2));
+        for (const char *engine : {"peruser", "soa"}) {
+            for (int threads : {1, 2, 8}) {
+                SCOPED_TRACE(std::string(saver) + " -> " + engine +
+                             " @ " + std::to_string(threads));
+                NetworkSpec resuming = c.spec;
+                resuming.engine = engine;
+                resuming.checkpoint.file = ckpt;
+                resuming.checkpoint.resume = true;
+                expectGolden(c, NetworkSim(resuming).run(c.slots,
+                                                         threads));
+            }
+        }
+    }
+    std::remove(ckpt.c_str());
 }
 
 // ------------------------------------- SoA / per-user equivalence
