@@ -9,7 +9,7 @@
  *    count.
  *  - dense-urban-10k analytic throughput -- the headline: a 100-cell,
  *    10k+-user deployment on the calibrated analytic rung. The
- *    bench fails below 1M user-slots/sec (user-slots = users x
+ *    bench fails below 3M user-slots/sec (user-slots = users x
  *    simulated slots, the timeline coverage per wall-clock second).
  *  - urban-mobile mobility -- the waypoint-mobility preset with A3
  *    handover and session churn: throughput of the mobile
@@ -126,61 +126,30 @@ main(int argc, char **argv)
     bench::banner("dense-urban-10k analytic: 100 cells, 10k+ users");
     {
         const std::uint64_t slots = bench::scaled(200, 50);
-        // A/B the two bit-identical engines on the same deployment.
-        // The per-user walk keeps the historical metric comparable;
-        // the SoA engine (the default) is the headline. Both reuse
-        // one NetworkSim across reps, so the SoA number includes
-        // its cross-run cache -- that is the configuration the
-        // sweep layer actually runs.
-        double uslots_peruser = 0.0;
-        double uslots_soa = 0.0;
-        for (const char *engine : {"peruser", "soa"}) {
-            sim::NetworkSpec spec =
-                sim::networkPreset("dense-urban-10k");
-            spec.engine = engine;
-            sim::NetworkSim sim(spec);
-            const double uslots = userSlotsPerSec(sim, slots, 4);
-            sim::NetworkResult res = sim.run(slots, 4);
-            if (std::string(engine) == "peruser") {
-                uslots_peruser = uslots;
-                report.metric("uslots_dense10k_analytic", uslots,
-                              "user-slots/s");
-            } else {
-                uslots_soa = uslots;
-                report.metric("uslots_dense10k_soa", uslots,
-                              "user-slots/s");
-            }
-            std::printf("%-8s %-7d users  %-5d cells  %-14.0f "
-                        "user-slots/sec  %.1f Mb/s goodput  "
-                        "%.1f dB mean SINR\n",
-                        engine, spec.numUsers, res.cells, uslots,
-                        res.aggregateGoodputMbps(),
-                        res.aggregate.sinrDb.mean());
-        }
-        std::printf("soa speedup over peruser: %.2fx\n",
-                    uslots_peruser > 0.0
-                        ? uslots_soa / uslots_peruser
-                        : 0.0);
+        // One NetworkSim across reps, so the number includes the
+        // cross-run cache -- the configuration the sweep layer
+        // actually runs.
+        const sim::NetworkSpec spec =
+            sim::networkPreset("dense-urban-10k");
+        sim::NetworkSim sim(spec);
+        const double uslots = userSlotsPerSec(sim, slots, 4);
+        sim::NetworkResult res = sim.run(slots, 4);
+        report.metric("uslots_dense10k_soa", uslots, "user-slots/s");
+        std::printf("%-7d users  %-5d cells  %-14.0f user-slots/sec  "
+                    "%.1f Mb/s goodput  %.1f dB mean SINR\n",
+                    spec.numUsers, res.cells, uslots,
+                    res.aggregateGoodputMbps(),
+                    res.aggregate.sinrDb.mean());
         // The deployment-scale contract: analytic fidelity must
-        // keep a 10k-user grid above 1M simulated user-slots per
-        // second (measured ~3M single-core; the floor leaves room
-        // for slow CI hardware, not for a broken fast path).
-        if (uslots_peruser < 1e6) {
+        // keep a 10k-user grid above 3M simulated user-slots per
+        // second (measured >=8M on the baseline box; the real
+        // against-baseline gate runs in CI via
+        // BENCH_multicell.json).
+        if (uslots < 3e6) {
             std::fprintf(stderr,
-                         "FAIL: dense-urban-10k analytic "
-                         "throughput %.0f user-slots/s below the "
-                         "1M floor\n",
-                         uslots_peruser);
-            ++failures;
-        }
-        // The SoA engine owes a further 3x on top of that floor
-        // (measured >=11M on the baseline box; the real >=3x-over-
-        // baseline gate runs in CI via BENCH_multicell.json).
-        if (uslots_soa < 3e6) {
-            std::fprintf(stderr,
-                         "FAIL: dense-urban-10k SoA throughput "
+                         "FAIL: dense-urban-10k analytic throughput "
                          "%.0f user-slots/s below the 3M floor\n",
-                         uslots_soa);
+                         uslots);
             ++failures;
         }
     }

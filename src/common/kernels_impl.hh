@@ -590,7 +590,7 @@ axpyF32Kernel(float *y, const float *x, size_t n, float a)
 // Everything that touches a libm transcendental (log, log10, exp,
 // floor) stays ONE scalar call per lane in every backend, because
 // vectorized transcendental approximations would break the
-// bit-exactness guarantee the engine equivalence tests pin.
+// bit-exactness guarantee the golden per-user pins hold.
 
 /** Scalar twin of CounterRng::at(counter) for key @p key. */
 inline u64
@@ -651,10 +651,10 @@ sinrAccumBatchKernel(const double *const *gain_rows,
     u64 bits[L];
     size_t i = 0;
     for (; i + L <= n; i += L) {
-        // Interference accumulates per lane in the same ascending
-        // cell order as the per-user engine's scalar loop (FP
-        // addition is order-sensitive); only the counter mixing
-        // vectorizes across the block's entries.
+        // Interference accumulates per lane in ascending cell
+        // order, like the scalar tail (FP addition is order-
+        // sensitive); only the counter mixing vectorizes across
+        // the block's entries.
         double interf[L] = {};
         const VecU64 keys = VecU64::load(fade_keys + i);
         for (int c = 0; c < cells; ++c) {

@@ -16,9 +16,8 @@
  * sections with marker() tags (cheap u32 guards) so a skew between
  * the two sides fails at the section boundary that introduced it,
  * not megabytes later. The engine-level serialization order is
- * canonical (global user id / cell index), which is what lets a
- * snapshot written by one multi-cell engine resume under the other
- * (docs/ARCHITECTURE.md, "Campaign layer").
+ * canonical (global user id / cell index), independent of thread
+ * count (docs/ARCHITECTURE.md, "Campaign layer").
  */
 
 #ifndef WILIS_COMMON_SNAPSHOT_HH
@@ -99,6 +98,12 @@ class SnapshotReader
 
     /** Assert the whole payload was consumed. */
     void done() const;
+
+    /** Unread payload bytes (bounds a count before reserving). */
+    size_t remaining() const { return buf.size() - pos; }
+
+    /** The file the bytes came from, for error messages. */
+    const std::string &origin() const { return origin_; }
 
   private:
     SnapshotReader(std::string bytes, std::string origin,

@@ -369,8 +369,7 @@ class Arq
      * Serialize the mutable state (checkpoint/resume). The window
      * and the pending-ack ring are written in canonical order --
      * window slots by index, pending acknowledgements oldest first
-     * -- so two engines holding equal logical state write equal
-     * bytes. The Config is not stored; it is re-derived from the
+     * -- so equal logical state always writes equal bytes. The Config is not stored; it is re-derived from the
      * spec on resume.
      */
     void

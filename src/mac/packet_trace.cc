@@ -131,7 +131,7 @@ PacketTrace::finalize()
     // The sort key is total over one run's events (a packet sees at
     // most one event of each kind per slot), so the result is
     // independent of the per-shard generation order -- the property
-    // every thread-count and engine equivalence test rides on.
+    // every thread-count equivalence test rides on.
     std::sort(entries_.begin(), entries_.end(), entryLess);
     finalized_ = true;
 }
@@ -280,14 +280,23 @@ PacketTrace::loadState(SnapshotReader &r)
                  "loadState() on a finalized packet trace");
     r.marker(0x43415254);
     const std::uint64_t shards = r.u64();
-    wilis_assert(shards == shards_.size(),
-                 "snapshot trace has %llu shards, this trace has "
-                 "%zu",
-                 static_cast<unsigned long long>(shards),
-                 shards_.size());
+    if (shards != shards_.size())
+        wilis_fatal("snapshot '%s': trace has %llu shards, this trace "
+                    "has %zu",
+                    r.origin().c_str(),
+                    static_cast<unsigned long long>(shards),
+                    shards_.size());
+    // Bytes one entry occupies in the snapshot (see saveState()).
+    constexpr size_t kEntryBytes = 6 * 8 + 2;
     for (std::vector<Entry> &shard : shards_) {
         shard.clear();
         const std::uint64_t n = r.u64();
+        if (n > r.remaining() / kEntryBytes)
+            wilis_fatal("snapshot '%s': trace shard of %llu entries "
+                        "cannot fit in the %zu bytes left",
+                        r.origin().c_str(),
+                        static_cast<unsigned long long>(n),
+                        r.remaining());
         shard.reserve(static_cast<size_t>(n));
         for (std::uint64_t i = 0; i < n; ++i) {
             Entry e;

@@ -7,14 +7,14 @@
  * expiry -- is recorded with its slot timestamp and packet identity
  * (cell, user, traffic class, per-user sequence number). Engines
  * record into per-shard buffers (one shard per cell in the
- * multi-cell engines, one per user in the single-cell engine), so
+ * multi-cell engine, one per user in the single-cell loop), so
  * recording is race-free without locks; finalize() then sorts every
  * entry into the canonical order (cell, user, seq, slot, event),
  * which is a total key over the events one run can produce.
  *
  * That makes the finalized trace a pure function of the NetworkSpec:
- * independent of the worker-thread count, of the cell sharding, and
- * of which engine (peruser or soa) produced it -- so a saved trace
+ * independent of the worker-thread count and of the cell sharding --
+ * so a saved trace
  * is byte-diffable against any later run of the same spec, which is
  * the differential-testing workhorse pinning every MAC, scheduler
  * and engine change (tests/test_packet_trace.cc and the committed
@@ -176,8 +176,8 @@ class PacketTrace
     /**
      * Serialize the pre-finalize per-shard buffers (checkpoint
      * only; fatal on a finalized trace). Shards are written in
-     * index order, which is the engines' cell order -- canonical
-     * across engines and thread counts.
+     * index order, which is the engine's cell order -- canonical
+     * across thread counts.
      */
     void saveState(SnapshotWriter &w) const;
 

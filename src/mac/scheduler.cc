@@ -146,7 +146,7 @@ CellScheduler::insertUser(int pos, double avg_rate)
     // The cursor names a local index; an insertion below it shifts
     // the user it pointed at up by one. Inserting *at* the cursor
     // leaves it alone: the newcomer inherits the next turn, a pure
-    // function of (pos, cursor) in both engines.
+    // function of (pos, cursor).
     if (pos < cursor_)
         ++cursor_;
     if (cfg_.kind == SchedulerKind::ProportionalFair)

@@ -128,10 +128,9 @@ class CellScheduler
 
     /**
      * Admit a user at local index @p pos, shifting higher indices
-     * up (the engines keep cell membership sorted by global user
-     * id, so @p pos is that order's insertion point -- identical in
-     * both engines, which is what keeps scheduler state bit-exact
-     * across them). The round-robin cursor moves with the user it
+     * up (the engine keeps cell membership sorted by global user
+     * id, so @p pos is that order's insertion point, a pure function
+     * of the membership). The round-robin cursor moves with the user it
      * pointed at; @p avg_rate seeds the proportional-fair
      * throughput average -- the pre-handover value to migrate EWMA
      * state across cells, or 0 for a fresh session.
@@ -148,7 +147,7 @@ class CellScheduler
      * Serialize the mutable state: the round-robin cursor and the
      * PF throughput averages, in local-index order. The instance
      * must be constructed for the same user count before
-     * loadState() (the engines rebuild cell membership from the
+     * loadState() (the engine rebuilds cell membership from the
      * snapshot first).
      */
     void saveState(SnapshotWriter &w) const;

@@ -34,9 +34,8 @@
  * re-associated -- and Poisson session churn: per-user exponential
  * session/gap dwells (mean 1/churn_rate slots) toggle users between
  * active and departed, quantized to epoch boundaries. Both emit an
- * ordered per-epoch event list that the per-user and SoA engines
- * apply identically, which is how the two engines stay bit-exact
- * under mobility.
+ * ordered per-epoch event list that the multi-cell engine applies
+ * in order.
  */
 
 #ifndef WILIS_SIM_MOBILITY_HH
@@ -104,18 +103,18 @@ struct MobilitySpec {
 /**
  * The shared mobility/handover/churn decision engine of one run.
  *
- * Both multi-cell engines construct one runtime per run and drive
+ * The multi-cell engine constructs one runtime per run and drives
  * it single-threaded at every gain-refresh epoch (the worker team
  * barriers around the call): epoch() refreshes the live gain
  * matrix from the trajectory positions, advances the churn chains
  * and the handover time-to-trigger state, and returns the slot's
- * ordered membership events. The engines then apply those events
- * to their own scheduler/queue/ARQ state -- every decision is made
- * once, here, so the two engines cannot diverge.
+ * ordered membership events. The engine then applies those events
+ * to its scheduler/queue/ARQ state -- every decision is made once,
+ * here.
  *
  * Between epochs the runtime is read-only: gainRow() /
  * servingGainLin() replace the static Topology matrix wherever the
- * engines fold interference or rate estimates.
+ * engine folds interference or rate estimates.
  *
  * Publication contract: epoch() mutates the gain matrix and every
  * decision chain with no internal locking, so the caller must hold

@@ -1,10 +1,11 @@
 /**
  * @file
- * Pieces shared by the two multi-cell engine implementations
- * (multicell_sim.cc, multicell_soa.cc) that must stay textually
- * identical between them: statistics recording, packet-trace
- * plumbing and the scalar interference fade. Internal to the sim
- * module (the single-cell engine reuses the trace plumbing too).
+ * Per-user bookkeeping helpers of the slot engines: statistics
+ * recording, packet-trace plumbing, UserStats serialization and the
+ * scalar interference fade (the readable twin of the sinrAccumBatch
+ * kernel). Internal to the sim module; the multi-cell engine
+ * (multicell_sim.cc) and the single-cell loop (network_sim.cc) both
+ * use it.
  *
  * Concurrency discipline for everything in this header: all state
  * (TraceCtx, per-user stats, the seq ring) is *barrier-phase
@@ -337,8 +338,7 @@ loadHist(SnapshotReader &r, Histogram &h)
 
 /**
  * Serialize one user's statistics (checkpoint). Field order is
- * declaration order in UserStats; both engines call this from the
- * same canonical global-user-id loop.
+ * declaration order in UserStats.
  */
 inline void
 saveUserStats(SnapshotWriter &w, const UserStats &st)
@@ -413,103 +413,6 @@ loadUserStats(SnapshotReader &r, UserStats &st)
     loadHist(r, st.rateHist);
     loadHist(r, st.queueWaitHist);
     loadHist(r, st.e2eLatencyHist);
-}
-
-// ------------------------------------------------ checkpointing
-
-/** Payload version of the multi-cell checkpoint format. */
-constexpr std::uint32_t kMcCheckpointVersion = 1;
-
-/**
- * Serialize a full mid-run engine state to
- * spec.checkpoint.file. @p E adapts one engine's layout (AoS or
- * SoA) to a common accessor surface; the byte order below is the
- * canonical one, shared by both engines, which is what makes a
- * snapshot written by either engine resumable by the other:
- *
- *   slot, then per-user blocks in global-user-id order (member
- *   cell or -1, serving gain, SoftRate, ARQ, traffic, trace ctx if
- *   tracing, UserStats), then per-cell blocks in cell order
- *   (member ids, scheduler, busy-until slot), then the mobility
- *   runtime if enabled, then the packet trace if tracing.
- *
- * Must run with every worker parked at a barrier (single-writer).
- */
-template <typename E>
-void
-saveMcCheckpoint(const NetworkSpec &spec, E &e, std::uint64_t slot)
-{
-    SnapshotWriter w(kMcCheckpointVersion, spec.fingerprint());
-    w.u64(slot);
-    const int users = e.numUsers();
-    for (int id = 0; id < users; ++id) {
-        w.i64(e.memberCellOf(id));
-        w.f64(e.servGainOf(id));
-        e.softrateOf(id).saveState(w);
-        e.arqOf(id).saveState(w);
-        e.trafficOf(id).saveState(w);
-        if (e.trace())
-            e.tctxOf(id).saveState(w);
-        saveUserStats(w, e.statsOf(id));
-    }
-    const int cells = e.numCells();
-    for (int c = 0; c < cells; ++c) {
-        const std::vector<int> ids = e.memberIdsOf(c);
-        w.u64(ids.size());
-        for (int id : ids)
-            w.i64(id);
-        e.schedOf(c).saveState(w);
-        w.u64(e.busyUntilOf(c));
-    }
-    if (e.mob())
-        e.mob()->saveState(w);
-    if (e.trace())
-        e.trace()->saveState(w);
-    w.save(spec.checkpoint.file);
-}
-
-/**
- * Inverse of saveMcCheckpoint(): restore the engine state from
- * spec.checkpoint.file into a freshly constructed engine (initial
- * bindings done, no slots run) and return the slot to resume at.
- * Fatal on a missing file, version skew or a spec whose
- * fingerprint differs from the snapshot's.
- */
-template <typename E>
-std::uint64_t
-loadMcCheckpoint(const NetworkSpec &spec, E &e)
-{
-    SnapshotReader r(spec.checkpoint.file, kMcCheckpointVersion,
-                     spec.fingerprint());
-    const std::uint64_t slot = r.u64();
-    const int users = e.numUsers();
-    for (int id = 0; id < users; ++id) {
-        e.setMemberCell(id, static_cast<int>(r.i64()));
-        e.setServGain(id, r.f64());
-        e.softrateOf(id).loadState(r);
-        e.arqOf(id).loadState(r);
-        e.trafficOf(id).loadState(r);
-        if (e.trace())
-            e.tctxOf(id).loadState(r);
-        loadUserStats(r, e.statsOf(id));
-    }
-    const int cells = e.numCells();
-    for (int c = 0; c < cells; ++c) {
-        const std::uint64_t n = r.u64();
-        std::vector<int> ids;
-        ids.reserve(static_cast<size_t>(n));
-        for (std::uint64_t i = 0; i < n; ++i)
-            ids.push_back(static_cast<int>(r.i64()));
-        e.resetCell(c, ids);
-        e.schedOf(c).loadState(r);
-        e.setBusyUntil(c, r.u64());
-    }
-    if (e.mob())
-        e.mob()->loadState(r);
-    if (e.trace())
-        e.trace()->loadState(r);
-    r.done();
-    return slot;
 }
 
 } // namespace detail

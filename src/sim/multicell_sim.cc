@@ -1,15 +1,41 @@
-#include "sim/multicell_sim.hh"
+/**
+ * @file
+ * The multi-cell slot engine (see multicell_sim.hh for the model).
+ * Per-user state lives in per-cell contiguous structure-of-arrays
+ * blocks, and phase 2's math runs through the runtime-dispatched
+ * kernels:
+ *
+ *   sinrAccumBatch -- interference fades (counter-RNG in u64
+ *       lanes), gain-weighted accumulation and dB conversion for
+ *       every granted user of a worker's cells in one call;
+ *   perDrawBatch   -- calibrated PER interpolation + Bernoulli
+ *       frame draws over the flattened table for the same batch.
+ *
+ * Every kernel lane computes the textually identical scalar
+ * expression (see kernels_impl.hh), so results are bit-identical at
+ * any thread count and on any kernel backend -- pinned by the golden
+ * per-user hashes in tests/test_multicell.cc.
+ *
+ * Immutable derived per-user state (Jakes oscillator banks, forked
+ * stream keys, serving gains, the flattened calibration table) is a
+ * pure function of (spec, topology, table) and is cached across
+ * run() calls in McSoaCache, owned by NetworkSim.
+ */
 
 #include <algorithm>
 #include <cmath>
+#include <complex>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "channel/awgn.hh"
 #include "channel/fading.hh"
+#include "common/kernels.hh"
 #include "common/lockstep.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "common/snapshot.hh"
 #include "mac/arq.hh"
 #include "mac/scheduler.hh"
 #include "mac/softrate.hh"
@@ -17,210 +43,355 @@
 #include "sim/link_fidelity.hh"
 #include "sim/mobility.hh"
 #include "sim/multicell_detail.hh"
+#include "sim/multicell_sim.hh"
 #include "sim/worker_phy.hh"
 
 namespace wilis {
 namespace sim {
 
-namespace {
-
-using detail::interferenceFade;
 using detail::notePop;
 using detail::recordDelivery;
 using detail::recordGrant;
 using detail::recordMobilityEvent;
 using detail::recordTx;
 
-/** One user's per-run state, owned by its serving cell. */
-struct McUser {
-    McUser(const NetworkSpec &spec, const Topology &topo, int id_,
+/** See the declaration in multicell_sim.hh. */
+struct McSoaCache {
+    // ---- fingerprint of the inputs this cache was derived from
+    std::uint64_t seed = 0;
+    double dopplerHz = 0.0;
+    double frameIntervalUs = 0.0;
+    const Topology *topo = nullptr;
+    const softphy::CalibrationTable *table = nullptr;
+
+    // ---- layout: SoA index = position in cell-major user order
+    // (cell 0's users by increasing id, then cell 1's, ...), so
+    // each cell's state is one contiguous block.
+    std::vector<int> order;               // soa index -> user id
+    std::vector<int> soaOf;               // user id -> soa index
+    std::vector<std::uint32_t> cellBegin; // cells + 1 offsets
+
+    // ---- immutable per-user derived state, soa-indexed
+    std::vector<std::int32_t> serving;    // serving cell
+    std::vector<double> servGain;         // serving link, linear
+    std::vector<double> meanSnr;          // serving link, dB
+    std::vector<const double *> gainRows; // into topo's matrix
+    std::vector<std::uint64_t> faderSeed;
+    std::vector<std::uint64_t> payloadSeed;
+    std::vector<std::uint64_t> trafficSeed;
+    std::vector<std::uint64_t> drawKey;  // analytic success draws
+    std::vector<std::uint64_t> interfKey; // interference fades
+    std::vector<std::uint64_t> awgnSeed;
+    std::vector<channel::JakesFader> faders; // gainAt() is const
+
+    // ---- flattened calibration (analytic/auto modes only)
+    softphy::FlatCalibration flat;
+    bool hasFlat = false;
+
+    // Cross-run memo of the serving-link |h|^2 per (slot, user):
+    // JakesFader::gainAt() is a pure function of (fader, t), so a
+    // value computed in one run is valid in every later run of the
+    // same spec -- memoization cannot change results. Filled lazily
+    // (PF evaluates only eligible users); bounded by kH2MemoBytes,
+    // slots past h2Slots fall back to the per-run memo. Within a
+    // run each user's entries are written by the one worker that
+    // owns its cell, so access is race-free.
+    static constexpr std::uint64_t kH2MemoBytes = 64ull << 20;
+    std::uint64_t h2Slots = 0;      // slots covered by the memo
+    std::vector<double> h2;         // [slot * users + user]
+    std::vector<std::uint8_t> h2Known;
+};
+
+namespace {
+
+bool
+cacheMatches(const McSoaCache &c, const NetworkSpec &spec,
+             const Topology &topo,
+             const softphy::CalibrationTable *table)
+{
+    return c.seed == spec.seed && c.dopplerHz == spec.dopplerHz &&
+           c.frameIntervalUs == spec.frameIntervalUs &&
+           c.topo == &topo && c.table == table &&
+           static_cast<int>(c.order.size()) == topo.numUsers();
+}
+
+std::shared_ptr<McSoaCache>
+buildCache(const NetworkSpec &spec, const Topology &topo,
            const softphy::CalibrationTable *table)
-        : id(id_), cell(topo.servingCell(id_)),
-          meanSnrDb(topo.servingSnrDb(id_)),
-          servGainLin(topo.linkGainLin(id_, cell)),
-          // Chained forks: one purpose family, then the user id,
-          // so no user's stream can alias another family's
-          // (XOR-ing ids into the constant would collide at
-          // user counts above the constants' XOR distance).
-          seeds(CounterRng(spec.seed)
-                    .fork(0xCE77ull)
-                    .fork(static_cast<std::uint64_t>(id_))),
-          fader(spec.dopplerHz, seeds.at(0)),
-          traffic(spec.traffic, seeds.at(2)),
-          interfStream(seeds.at(4)), payloadSeed(seeds.at(1)),
-          awgnSeed(seeds.at(5))
-    {
-        mac::SoftRateMac::Config src;
-        src.pberLo = spec.pberLo;
-        src.pberHi = spec.pberHi;
-        src.initialRate = spec.link.rate;
-        softrate = mac::SoftRateMac(src);
+{
+    const int cells = topo.numCells();
+    const int num_users = topo.numUsers();
+    auto cache = std::make_shared<McSoaCache>();
+    cache->seed = spec.seed;
+    cache->dopplerHz = spec.dopplerHz;
+    cache->frameIntervalUs = spec.frameIntervalUs;
+    cache->topo = &topo;
+    cache->table = table;
 
-        mac::Arq::Config ac;
-        ac.mode = spec.arqMode;
-        ac.window = spec.arqWindow;
-        ac.maxAttempts = spec.arqMaxAttempts;
-        ac.ackDelaySlots = spec.ackDelaySlots;
-        arq = std::make_unique<mac::Arq>(ac);
+    cache->order.reserve(static_cast<size_t>(num_users));
+    cache->cellBegin.reserve(static_cast<size_t>(cells) + 1);
+    cache->cellBegin.push_back(0);
+    for (int c = 0; c < cells; ++c) {
+        for (int id : topo.cellUsers(c))
+            cache->order.push_back(id);
+        cache->cellBegin.push_back(
+            static_cast<std::uint32_t>(cache->order.size()));
+    }
+    cache->soaOf.assign(static_cast<size_t>(num_users), -1);
+    for (int i = 0; i < num_users; ++i)
+        cache->soaOf[static_cast<size_t>(cache->order[
+            static_cast<size_t>(i)])] = i;
 
-        if (table)
-            analytic =
-                std::make_unique<AnalyticLink>(table, seeds.at(3));
-
-        stats.user = id;
-        stats.servingCell = cell;
-        stats.meanSnrDb = meanSnrDb;
+    const size_t n = static_cast<size_t>(num_users);
+    cache->serving.resize(n);
+    cache->servGain.resize(n);
+    cache->meanSnr.resize(n);
+    cache->gainRows.resize(n);
+    cache->faderSeed.resize(n);
+    cache->payloadSeed.resize(n);
+    cache->trafficSeed.resize(n);
+    cache->drawKey.resize(n);
+    cache->interfKey.resize(n);
+    cache->awgnSeed.resize(n);
+    cache->faders.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+        const int id = cache->order[i];
+        const int cell = topo.servingCell(id);
+        cache->serving[i] = static_cast<std::int32_t>(cell);
+        cache->servGain[i] = topo.linkGainLin(id, cell);
+        cache->meanSnr[i] = topo.servingSnrDb(id);
+        cache->gainRows[i] = topo.gainRow(id);
+        // Chained forks: one purpose family, then the user id, so
+        // no user's stream can alias another family's (XOR-ing ids
+        // into the constant would collide at user counts above the
+        // constants' XOR distance).
+        const CounterRng seeds =
+            CounterRng(spec.seed)
+                .fork(0xCE77ull)
+                .fork(static_cast<std::uint64_t>(id));
+        cache->faderSeed[i] = seeds.at(0);
+        cache->payloadSeed[i] = seeds.at(1);
+        cache->trafficSeed[i] = seeds.at(2);
+        cache->drawKey[i] = seeds.at(3);
+        cache->interfKey[i] = seeds.at(4);
+        cache->awgnSeed[i] = seeds.at(5);
+        cache->faders.emplace_back(spec.dopplerHz,
+                                   cache->faderSeed[i]);
     }
 
-    /** Serving-link |h|^2 at slot @p t (memoized per slot). */
-    double
-    fadingPower(std::uint64_t t, double frame_interval_us)
-    {
-        if (h2_slot != t || !h2_valid) {
-            h2 = std::norm(fader.gainAt(static_cast<double>(t) *
-                                        frame_interval_us));
-            h2_slot = t;
-            h2_valid = true;
-        }
-        return h2;
+    if (table) {
+        cache->flat = table->flatten();
+        cache->hasFlat = true;
     }
-
-    int id;
-    int cell;
-    double meanSnrDb;
-    double servGainLin;
-    CounterRng seeds;
-    channel::JakesFader fader;
-    mac::TrafficSource traffic;
-    mac::SoftRateMac softrate;
-    std::unique_ptr<mac::Arq> arq;
-    std::unique_ptr<AnalyticLink> analytic;
-    std::unique_ptr<channel::AwgnChannel> awgn; // full rung, lazy
-    CounterRng interfStream;
-    std::uint64_t payloadSeed;
-    std::uint64_t awgnSeed;
-    UserStats stats;
-    detail::TraceCtx tctx;
-
-    double h2 = 0.0;
-    std::uint64_t h2_slot = 0;
-    bool h2_valid = false;
-};
-
-/** One cell's scheduler state plus its slot decision. */
-struct McCell {
-    std::vector<int> users; // global ids, increasing
-    std::unique_ptr<mac::CellScheduler> sched;
-    std::vector<std::uint8_t> eligible;
-    std::vector<std::uint8_t> urgent; // queued control traffic
-    std::vector<double> instRate;
-    std::vector<mac::Arq::Delivery> deliveries;
-
-    // Phase-1 outputs consumed by every cell's phase 2.
-    int grantedUser = -1; // global id, -1 = idle slot
-    std::uint64_t grantedSeq = 0;
-};
+    return cache;
+}
 
 /**
- * Adapter mapping this engine's per-user object layout onto the
- * canonical checkpoint byte order (detail::saveMcCheckpoint() /
- * detail::loadMcCheckpoint() in multicell_detail.hh). sync()
- * derives the user -> member-cell map; call it before a save.
+ * One run's mutable state: per-user lanes indexed by SoA index,
+ * per-cell lanes by cell. Grouped so the checkpoint functions below
+ * read and write it directly.
  */
-struct PuCheckpoint {
-    std::vector<McUser> *users;
-    std::vector<McCell> *cells;
-    std::vector<std::uint64_t> *busy;
-    const mac::CellScheduler::Config *schedCfg;
-    MobilityRuntime *mobp;
-    mac::PacketTrace *tracep;
-    std::vector<int> cellOf; // user id -> member cell, -1 = none
+struct McState {
+    std::vector<mac::Arq> arqs;
+    std::vector<mac::TrafficSource> traffic;
+    std::vector<mac::SoftRateMac> softrate;
+    std::vector<UserStats> stats;
+    std::vector<detail::TraceCtx> tctx;
+    // Serving-link gain: the cache's static value, moved by the
+    // mobility epochs.
+    std::vector<double> servGain;
+    // Cell membership: SoA indices ordered by global user id (the
+    // order scheduler-local indices refer to).
+    std::vector<std::vector<std::uint32_t>> members;
+    std::vector<mac::CellScheduler> scheds;
+    std::vector<std::vector<std::uint8_t>> eligible;
+    std::vector<std::vector<std::uint8_t>> urgent; // queued control
+    std::vector<std::vector<double>> instRate;
+    // Fixed-contention airtime: a cell whose last grant saw k > 1
+    // contenders is busy (no grants) until this slot.
+    std::vector<std::uint64_t> busyUntil;
+    std::unique_ptr<MobilityRuntime> mob;
+    std::shared_ptr<mac::PacketTrace> trace;
 
+    /** Size cell @p c's scheduler inputs to its membership. */
     void
-    sync()
+    resizeCell(size_t c)
     {
-        cellOf.assign(users->size(), -1);
-        for (size_t c = 0; c < cells->size(); ++c)
-            for (int id : (*cells)[c].users)
-                cellOf[static_cast<size_t>(id)] =
-                    static_cast<int>(c);
-    }
-
-    McUser &
-    at(int id)
-    {
-        return (*users)[static_cast<size_t>(id)];
-    }
-
-    int numUsers() const { return static_cast<int>(users->size()); }
-    int numCells() const { return static_cast<int>(cells->size()); }
-    MobilityRuntime *mob() const { return mobp; }
-    mac::PacketTrace *trace() const { return tracep; }
-    int memberCellOf(int id) { return cellOf[static_cast<size_t>(id)]; }
-    double servGainOf(int id) { return at(id).servGainLin; }
-    mac::SoftRateMac &softrateOf(int id) { return at(id).softrate; }
-    mac::Arq &arqOf(int id) { return *at(id).arq; }
-    mac::TrafficSource &trafficOf(int id) { return at(id).traffic; }
-    detail::TraceCtx &tctxOf(int id) { return at(id).tctx; }
-    UserStats &statsOf(int id) { return at(id).stats; }
-
-    std::vector<int>
-    memberIdsOf(int c)
-    {
-        return (*cells)[static_cast<size_t>(c)].users;
-    }
-
-    mac::CellScheduler &
-    schedOf(int c)
-    {
-        return *(*cells)[static_cast<size_t>(c)].sched;
-    }
-
-    std::uint64_t
-    busyUntilOf(int c)
-    {
-        return (*busy)[static_cast<size_t>(c)];
-    }
-
-    void
-    setMemberCell(int id, int c)
-    {
-        if (cellOf.size() != users->size())
-            cellOf.assign(users->size(), -1);
-        cellOf[static_cast<size_t>(id)] = c;
-        if (c >= 0)
-            at(id).cell = c;
-    }
-
-    void setServGain(int id, double g) { at(id).servGainLin = g; }
-
-    void
-    resetCell(int c, const std::vector<int> &ids)
-    {
-        McCell &cs = (*cells)[static_cast<size_t>(c)];
-        cs.users = ids;
-        cs.sched = std::make_unique<mac::CellScheduler>(
-            *schedCfg, static_cast<int>(ids.size()));
-        cs.eligible.resize(cs.users.size());
-        cs.urgent.assign(cs.users.size(), 0);
-        cs.instRate.assign(cs.users.size(), 0.0);
-    }
-
-    void
-    setBusyUntil(int c, std::uint64_t v)
-    {
-        (*busy)[static_cast<size_t>(c)] = v;
+        const size_t cn = members[c].size();
+        eligible[c].resize(cn);
+        urgent[c].assign(cn, 0);
+        instRate[c].assign(cn, 0.0);
     }
 };
+
+// ------------------------------------------------ checkpointing
+
+/** Payload version of the multi-cell checkpoint format. */
+constexpr std::uint32_t kMcCheckpointVersion = 1;
+
+/**
+ * Serialize the state before slot @p slot to spec.checkpoint.file,
+ * in this order:
+ *
+ *   slot, then per-user blocks in global-user-id order (member
+ *   cell or -1, serving gain, SoftRate, ARQ, traffic, trace ctx if
+ *   tracing, UserStats), then per-cell blocks in cell order
+ *   (member ids, scheduler, busy-until slot), then the mobility
+ *   runtime if enabled, then the packet trace if tracing.
+ *
+ * Must run with every worker parked at a barrier (single-writer).
+ */
+void
+saveMcCheckpoint(const NetworkSpec &spec, const McSoaCache &cache,
+                 const McState &st, std::uint64_t slot)
+{
+    std::vector<std::int64_t> cell_of(cache.order.size(), -1);
+    for (size_t c = 0; c < st.members.size(); ++c)
+        for (std::uint32_t i : st.members[c])
+            cell_of[static_cast<size_t>(cache.order[i])] =
+                static_cast<std::int64_t>(c);
+
+    SnapshotWriter w(kMcCheckpointVersion, spec.fingerprint());
+    w.u64(slot);
+    for (size_t id = 0; id < cache.order.size(); ++id) {
+        const size_t i = static_cast<size_t>(cache.soaOf[id]);
+        w.i64(cell_of[id]);
+        w.f64(st.servGain[i]);
+        st.softrate[i].saveState(w);
+        st.arqs[i].saveState(w);
+        st.traffic[i].saveState(w);
+        if (st.trace)
+            st.tctx[i].saveState(w);
+        detail::saveUserStats(w, st.stats[i]);
+    }
+    for (size_t c = 0; c < st.members.size(); ++c) {
+        w.u64(st.members[c].size());
+        for (std::uint32_t i : st.members[c])
+            w.i64(cache.order[i]);
+        st.scheds[c].saveState(w);
+        w.u64(st.busyUntil[c]);
+    }
+    if (st.mob)
+        st.mob->saveState(w);
+    if (st.trace)
+        st.trace->saveState(w);
+    w.save(spec.checkpoint.file);
+}
+
+/**
+ * Inverse of saveMcCheckpoint(): restore spec.checkpoint.file into
+ * the freshly built state @p st (initial bindings done, no slots
+ * run) and return the slot to resume at. Fatal, naming the file, on
+ * a missing file, version or spec skew, a snapshot past the
+ * @p horizon, or a membership table that is not a valid assignment
+ * of users to cells.
+ */
+std::uint64_t
+loadMcCheckpoint(const NetworkSpec &spec, const McSoaCache &cache,
+                 std::uint64_t horizon, McState &st)
+{
+    const char *file = spec.checkpoint.file.c_str();
+    SnapshotReader r(spec.checkpoint.file, kMcCheckpointVersion,
+                     spec.fingerprint());
+    const std::uint64_t slot = r.u64();
+    if (slot > horizon)
+        wilis_fatal("checkpoint '%s' is at slot %llu, past the "
+                    "%llu-slot horizon",
+                    file, static_cast<unsigned long long>(slot),
+                    static_cast<unsigned long long>(horizon));
+    const auto users = static_cast<long long>(cache.order.size());
+    const auto cells = static_cast<long long>(st.members.size());
+    std::vector<long long> cell_of(cache.order.size());
+    long long placed = 0;
+    for (long long id = 0; id < users; ++id) {
+        const size_t i =
+            static_cast<size_t>(cache.soaOf[static_cast<size_t>(id)]);
+        const long long c = r.i64();
+        if (c < -1 || c >= cells)
+            wilis_fatal("checkpoint '%s': user %lld has member cell "
+                        "%lld, outside [-1, %lld)",
+                        file, id, c, cells);
+        cell_of[static_cast<size_t>(id)] = c;
+        placed += c >= 0 ? 1 : 0;
+        st.servGain[i] = r.f64();
+        st.softrate[i].loadState(r);
+        st.arqs[i].loadState(r);
+        st.traffic[i].loadState(r);
+        if (st.trace)
+            st.tctx[i].loadState(r);
+        detail::loadUserStats(r, st.stats[i]);
+    }
+    long long listed = 0;
+    for (size_t c = 0; c < st.members.size(); ++c) {
+        const std::uint64_t n = r.u64();
+        if (n > static_cast<std::uint64_t>(users))
+            wilis_fatal("checkpoint '%s': cell %zu lists %llu "
+                        "members, the deployment has %lld users",
+                        file, c, static_cast<unsigned long long>(n),
+                        users);
+        std::vector<std::uint32_t> &mem = st.members[c];
+        mem.clear();
+        mem.reserve(static_cast<size_t>(n));
+        long long prev = -1;
+        for (std::uint64_t k = 0; k < n; ++k) {
+            const long long id = r.i64();
+            if (id <= prev || id >= users)
+                wilis_fatal("checkpoint '%s': cell %zu member id "
+                            "%lld is not increasing within [0, %lld)",
+                            file, c, id, users);
+            if (cell_of[static_cast<size_t>(id)] !=
+                static_cast<long long>(c))
+                wilis_fatal("checkpoint '%s': cell %zu lists user "
+                            "%lld, whose member cell is %lld",
+                            file, c, id,
+                            cell_of[static_cast<size_t>(id)]);
+            mem.push_back(static_cast<std::uint32_t>(
+                cache.soaOf[static_cast<size_t>(id)]));
+            prev = id;
+        }
+        listed += static_cast<long long>(n);
+        st.scheds[c] = mac::CellScheduler(spec.scheduler,
+                                          static_cast<int>(n));
+        st.resizeCell(c);
+        st.scheds[c].loadState(r);
+        st.busyUntil[c] = r.u64();
+    }
+    if (listed != placed)
+        wilis_fatal("checkpoint '%s': %lld users have a member cell, "
+                    "but the cells list %lld",
+                    file, placed, listed);
+    if (st.mob)
+        st.mob->loadState(r);
+    if (st.trace)
+        st.trace->loadState(r);
+    r.done();
+    // Re-point the traffic sources' trace lanes at the restored
+    // serving cells (the trace contexts restore their own lane; a
+    // churned-out user keeps its initial binding, which is dormant
+    // until the next join rebinds it).
+    if (st.trace) {
+        for (long long id = 0; id < users; ++id) {
+            const int c = static_cast<int>(
+                cell_of[static_cast<size_t>(id)]);
+            if (c >= 0)
+                st.traffic[static_cast<size_t>(
+                               cache.soaOf[static_cast<size_t>(id)])]
+                    .bindTrace(st.trace.get(), c, c,
+                               static_cast<int>(id));
+        }
+    }
+    return slot;
+}
 
 } // namespace
 
 NetworkResult
-runMulticellPerUser(
+runMulticellNetwork(
     const NetworkSpec &spec, const Topology &topo,
     const softphy::BerEstimator &estimator,
     std::shared_ptr<const softphy::CalibrationTable> calib,
-    std::uint64_t slots, int threads)
+    std::uint64_t slots, int threads,
+    std::shared_ptr<McSoaCache> *cache_slot)
 {
     const int cells = topo.numCells();
     const int num_users = topo.numUsers();
@@ -228,296 +399,448 @@ runMulticellPerUser(
     const softphy::CalibrationTable *table =
         spec.fidelity.mode != FidelityMode::Full ? calib.get()
                                                  : nullptr;
+    if (spec.fidelity.mode != FidelityMode::Full)
+        wilis_assert(table && table->valid(),
+                     "analytic fidelity needs a calibration table");
+
+    // Immutable derived state: reuse the caller's cache when it
+    // matches, else (re)derive. A local cache serves one-shot
+    // callers.
+    std::shared_ptr<McSoaCache> local;
+    std::shared_ptr<McSoaCache> &slot =
+        cache_slot ? *cache_slot : local;
+    if (!slot || !cacheMatches(*slot, spec, topo, table))
+        slot = buildCache(spec, topo, table);
+    McSoaCache &cache = *slot;
+    // Grow the cross-run |h|^2 memo to cover this run (bounded);
+    // resize preserves filled slots because the layout is
+    // slot-major.
+    {
+        const std::uint64_t users64 =
+            static_cast<std::uint64_t>(topo.numUsers());
+        const std::uint64_t cap = std::max<std::uint64_t>(
+            1, McSoaCache::kH2MemoBytes / (8 * users64));
+        const std::uint64_t want = std::min(slots, cap);
+        if (want > cache.h2Slots) {
+            cache.h2.resize(want * users64);
+            cache.h2Known.resize(want * users64, 0);
+            cache.h2Slots = want;
+        }
+    }
+    const kernels::PerTableView flat_view =
+        cache.hasFlat ? cache.flat.view() : kernels::PerTableView{};
 
     NetworkResult res;
     res.spec = spec;
     res.slots = slots;
     res.cells = cells;
 
-    // Per-user and per-cell state, all owned by the serving cell's
-    // worker once the slot loop starts.
-    std::vector<McUser> users;
-    users.reserve(static_cast<size_t>(num_users));
-    for (int u = 0; u < num_users; ++u)
-        users.emplace_back(spec, topo, u, table);
+    // ---- mutable per-user state, soa-indexed -------------------
+    const size_t nu = static_cast<size_t>(num_users);
+    mac::SoftRateMac::Config src;
+    src.pberLo = spec.pberLo;
+    src.pberHi = spec.pberHi;
+    src.initialRate = spec.link.rate;
+    mac::Arq::Config ac;
+    ac.mode = spec.arqMode;
+    ac.window = spec.arqWindow;
+    ac.maxAttempts = spec.arqMaxAttempts;
+    ac.ackDelaySlots = spec.ackDelaySlots;
 
+    McState state;
+    std::vector<mac::Arq> &arqs = state.arqs;
+    std::vector<mac::TrafficSource> &traffic = state.traffic;
+    std::vector<mac::SoftRateMac> &softrate = state.softrate;
+    std::vector<UserStats> &stats = state.stats;
+    std::vector<detail::TraceCtx> &tctx = state.tctx;
+    std::vector<double> &serv_gain = state.servGain;
+    std::vector<std::vector<std::uint32_t>> &members = state.members;
+    std::vector<mac::CellScheduler> &scheds = state.scheds;
+    std::vector<std::vector<std::uint8_t>> &eligible = state.eligible;
+    std::vector<std::vector<std::uint8_t>> &urgent = state.urgent;
+    std::vector<std::vector<double>> &inst_rate = state.instRate;
+    std::vector<std::uint64_t> &busy_until = state.busyUntil;
+    std::unique_ptr<MobilityRuntime> &mob = state.mob;
+    std::shared_ptr<mac::PacketTrace> &trace = state.trace;
+
+    stats.resize(nu);
+    arqs.reserve(nu);
+    traffic.reserve(nu);
+    softrate.reserve(nu);
+    for (size_t i = 0; i < nu; ++i) {
+        arqs.emplace_back(ac);
+        traffic.emplace_back(spec.traffic, cache.trafficSeed[i]);
+        softrate.emplace_back(src);
+        stats[i].user = cache.order[i];
+        stats[i].servingCell = cache.serving[i];
+        stats[i].meanSnrDb = cache.meanSnr[i];
+    }
     // The packet trace records per-cell (one shard per cell, each
     // written only by the cell's owning worker).
-    std::shared_ptr<mac::PacketTrace> trace;
+    tctx.resize(nu);
     if (spec.trace) {
         trace = std::make_shared<mac::PacketTrace>(cells);
-        for (McUser &u : users) {
-            u.tctx.bind(trace.get(), u.cell, u.cell, u.id,
-                        u.arq->windowSize());
-            u.traffic.bindTrace(trace.get(), u.cell, u.cell, u.id);
+        for (size_t i = 0; i < nu; ++i) {
+            const int cell = static_cast<int>(cache.serving[i]);
+            const int id = cache.order[i];
+            tctx[i].bind(trace.get(), cell, cell, id,
+                         arqs[i].windowSize());
+            traffic[i].bindTrace(trace.get(), cell, cell, id);
         }
     }
-
-    // Mobility / handover / churn: one shared decision engine,
-    // driven single-threaded between barriers, so the per-user and
-    // SoA engines see identical epochs by construction. Null for
-    // static runs, which therefore stay bit-identical to the
-    // pre-mobility engine.
-    std::unique_ptr<MobilityRuntime> mob;
+    // Mobility / handover / churn: one decision engine, driven
+    // single-threaded between barriers. The cache stays immutable
+    // (it is shared across runs); all membership-dependent state
+    // below is run-local.
     if (spec.mobility.enabled())
         mob = std::make_unique<MobilityRuntime>(
             spec.mobility, topo, spec.seed, spec.frameIntervalUs);
-    // Post-first-handover flag routing delivered payload into the
-    // before/after-handover goodput split.
-    auto post_ho = [&](int uid) {
+    auto post_ho = [&](std::uint32_t i) {
         return mob &&
-               mob->handovers(uid) > 0;
+               mob->handovers(cache.order[static_cast<size_t>(i)]) >
+                   0;
     };
-
-    std::vector<McCell> cell_state(static_cast<size_t>(cells));
+    // Run-local serving gains and gain-row pointers: start as the
+    // cache's static values, move with the epochs under mobility
+    // (the fader, payload, traffic and draw streams are serving-
+    // cell-independent by construction, so they stay cached).
+    serv_gain = cache.servGain;
+    std::vector<const double *> rows(cache.gainRows);
+    if (mob) {
+        for (size_t i = 0; i < nu; ++i)
+            rows[i] = mob->gainRow(cache.order[i]);
+    }
+    // Run-local cell membership, ordered by global user id. Static
+    // runs never mutate it, so it is exactly the cache's cell-major
+    // blocks.
+    members.resize(static_cast<size_t>(cells));
     for (int c = 0; c < cells; ++c) {
-        McCell &cs = cell_state[static_cast<size_t>(c)];
-        cs.users = topo.cellUsers(c);
-        cs.sched = std::make_unique<mac::CellScheduler>(
-            spec.scheduler, static_cast<int>(cs.users.size()));
-        cs.eligible.resize(cs.users.size());
-        cs.urgent.assign(cs.users.size(), 0);
-        cs.instRate.assign(cs.users.size(), 0.0);
-        cs.deliveries.reserve(
+        for (std::uint32_t i =
+                 cache.cellBegin[static_cast<size_t>(c)];
+             i < cache.cellBegin[static_cast<size_t>(c) + 1]; ++i)
+            members[static_cast<size_t>(c)].push_back(i);
+    }
+
+    // Serving-link |h|^2 memo (per user, per slot) past the
+    // cross-run memo's horizon.
+    std::vector<double> h2val(nu, 0.0);
+    std::vector<std::uint64_t> h2slot(nu, 0);
+    std::vector<std::uint8_t> h2valid(nu, 0);
+    auto fadingPower = [&](int i, std::uint64_t t) {
+        const size_t s = static_cast<size_t>(i);
+        if (t < cache.h2Slots) {
+            const size_t e = static_cast<size_t>(t) * nu + s;
+            if (!cache.h2Known[e]) {
+                cache.h2[e] = std::norm(cache.faders[s].gainAt(
+                    static_cast<double>(t) *
+                    spec.frameIntervalUs));
+                cache.h2Known[e] = 1;
+            }
+            return cache.h2[e];
+        }
+        if (h2slot[s] != t || !h2valid[s]) {
+            h2val[s] = std::norm(cache.faders[s].gainAt(
+                static_cast<double>(t) * spec.frameIntervalUs));
+            h2slot[s] = t;
+            h2valid[s] = 1;
+        }
+        return h2val[s];
+    };
+    // Full-PHY rung only, constructed on a user's first frame.
+    std::vector<std::unique_ptr<channel::AwgnChannel>> awgn(nu);
+
+    // ---- per-cell state ----------------------------------------
+    scheds.reserve(static_cast<size_t>(cells));
+    eligible.resize(static_cast<size_t>(cells));
+    urgent.resize(static_cast<size_t>(cells));
+    inst_rate.resize(static_cast<size_t>(cells));
+    std::vector<std::vector<mac::Arq::Delivery>> deliveries(
+        static_cast<size_t>(cells));
+    for (int c = 0; c < cells; ++c) {
+        scheds.emplace_back(
+            spec.scheduler,
+            static_cast<int>(members[static_cast<size_t>(c)].size()));
+        state.resizeCell(static_cast<size_t>(c));
+        deliveries[static_cast<size_t>(c)].reserve(
             static_cast<size_t>(spec.arqWindow) + 1);
     }
-    // Fixed-contention airtime: a cell whose last grant saw k > 1
-    // contenders is busy (no grants) until this slot.
-    std::vector<std::uint64_t> busy_until(
+    std::vector<int> granted_soa(static_cast<size_t>(cells), -1);
+    std::vector<std::uint64_t> granted_seq(
         static_cast<size_t>(cells), 0);
+    std::vector<std::uint8_t> active(static_cast<size_t>(cells), 0);
+    busy_until.assign(static_cast<size_t>(cells), 0);
     const bool class_aware =
         spec.traffic.qdisc == mac::QdiscKind::StrictPriority;
     const bool fixed_contention =
         spec.scheduler.contention == mac::ContentionMode::Fixed;
 
-    // The cross-cell coupling: which cells transmit this slot.
-    // Written by each cell's phase 1 (own index only), read by
-    // every cell's phase 2 after the barrier.
-    std::vector<std::uint8_t> active(static_cast<size_t>(cells), 0);
-
     WorkerPhyPool phy_pool;
+    const bool pf = spec.scheduler.kind ==
+                    mac::SchedulerKind::ProportionalFair;
 
-    // ---- phase 1: deliver ACKs, draw traffic, schedule ----------
-    auto phase_schedule = [&](std::uint64_t ci, std::uint64_t t) {
-        McCell &cs = cell_state[static_cast<size_t>(ci)];
+    // ---- phase 1: deliver ACKs, draw traffic, schedule ---------
+    auto phase_schedule = [&](int c, std::uint64_t t) {
+        const std::vector<std::uint32_t> &mem =
+            members[static_cast<size_t>(c)];
+        std::vector<std::uint8_t> &elig =
+            eligible[static_cast<size_t>(c)];
+        std::vector<std::uint8_t> &urg =
+            urgent[static_cast<size_t>(c)];
+        std::vector<double> &inst =
+            inst_rate[static_cast<size_t>(c)];
+        std::vector<mac::Arq::Delivery> &del =
+            deliveries[static_cast<size_t>(c)];
         // Under fixed contention the medium may still be occupied
         // by the previous grant's contention charge: per-user
         // processes advance, but no grant is issued.
-        const bool busy = t < busy_until[static_cast<size_t>(ci)];
-        for (size_t i = 0; i < cs.users.size(); ++i) {
-            McUser &u = users[static_cast<size_t>(cs.users[i])];
-            // tick() is a no-op for a quiescent ARQ (no matured
-            // acknowledgement, nothing deliverable), which is the
-            // common case at low load -- skip the walk.
-            if (!u.arq->quiescentAt(t)) {
-                cs.deliveries.clear();
-                u.arq->tick(t, cs.deliveries);
-                for (const auto &d : cs.deliveries)
-                    recordDelivery(u.stats, d, payload_bits, t,
-                                   u.tctx, post_ho(u.id));
+        const bool busy = t < busy_until[static_cast<size_t>(c)];
+        for (size_t m = 0; m < mem.size(); ++m) {
+            const std::uint32_t i = mem[m];
+            if (!arqs[i].quiescentAt(t)) {
+                del.clear();
+                arqs[i].tick(t, del);
+                for (const auto &d : del)
+                    recordDelivery(stats[i], d, payload_bits, t,
+                                   tctx[i], post_ho(i));
             }
-            u.traffic.tick(t);
+            traffic[i].tick(t);
             const bool can_send =
-                u.arq->hasResend() ||
-                (u.traffic.backlogged() && u.arq->windowHasRoom());
-            cs.eligible[i] = can_send ? 1 : 0;
+                arqs[i].hasResend() ||
+                (traffic[i].backlogged() &&
+                 arqs[i].windowHasRoom());
+            elig[m] = can_send ? 1 : 0;
             if (class_aware)
-                cs.urgent[i] =
-                    u.traffic.controlBacklogged() ? 1 : 0;
-            // Proportional fair ranks by the noise-limited
-            // instantaneous rate (interference is unknown until
-            // every cell has scheduled); only eligible users pay
-            // for the fading evaluation, and a busy cell skips it
-            // entirely (no grant to rank for).
-            if (can_send && !busy &&
-                spec.scheduler.kind ==
-                    mac::SchedulerKind::ProportionalFair) {
+                urg[m] =
+                    traffic[i].controlBacklogged() ? 1 : 0;
+            if (can_send && !busy && pf) {
                 const double h2 =
-                    u.fadingPower(t, spec.frameIntervalUs);
-                cs.instRate[i] =
-                    std::log2(1.0 + u.servGainLin * h2);
+                    fadingPower(static_cast<int>(i), t);
+                inst[m] =
+                    std::log2(1.0 + serv_gain[i] * h2);
             }
         }
 
         if (busy) {
             // The contention charge consumes the slot: everyone
             // with traffic stalls, the scheduler's clock advances.
-            cs.grantedUser = -1;
-            active[static_cast<size_t>(ci)] = 0;
-            cs.sched->update(-1, 0.0);
-            for (size_t i = 0; i < cs.users.size(); ++i) {
-                if (cs.eligible[i])
-                    ++users[static_cast<size_t>(cs.users[i])]
-                          .stats.stalledSlots;
+            granted_soa[static_cast<size_t>(c)] = -1;
+            active[static_cast<size_t>(c)] = 0;
+            scheds[static_cast<size_t>(c)].update(-1, 0.0);
+            for (size_t m = 0; m < mem.size(); ++m) {
+                if (elig[m])
+                    ++stats[mem[m]].stalledSlots;
             }
             return;
         }
 
-        const int pick = cs.sched->pick(
-            cs.eligible, cs.instRate,
-            class_aware ? &cs.urgent : nullptr);
+        const int pick = scheds[static_cast<size_t>(c)].pick(
+            elig, inst, class_aware ? &urg : nullptr);
         if (pick < 0) {
-            cs.grantedUser = -1;
-            active[static_cast<size_t>(ci)] = 0;
-            // Idle slots still close the scheduler's slot: the PF
-            // throughput averages must decay while a cell is
-            // silent, or the next burst would see stale metrics.
-            cs.sched->update(-1, 0.0);
+            granted_soa[static_cast<size_t>(c)] = -1;
+            active[static_cast<size_t>(c)] = 0;
+            scheds[static_cast<size_t>(c)].update(-1, 0.0);
             return;
         }
-        McUser &u = users[static_cast<size_t>(cs.users[
-            static_cast<size_t>(pick)])];
+        const std::uint32_t g = mem[static_cast<size_t>(pick)];
         const bool allow_new =
-            u.traffic.backlogged() && u.arq->windowHasRoom();
-        const std::uint64_t prev_next = u.arq->nextSeq();
+            traffic[g].backlogged() && arqs[g].windowHasRoom();
+        const std::uint64_t prev_next = arqs[g].nextSeq();
         std::uint64_t seq = 0;
-        const bool sending = u.arq->nextToSend(t, seq, allow_new);
+        const bool sending = arqs[g].nextToSend(t, seq, allow_new);
         wilis_assert(sending, "scheduler granted an idle user");
         std::int64_t first_wait = 0;
-        if (u.arq->nextSeq() != prev_next) {
-            // A never-transmitted frame leaves the traffic queue.
-            const mac::Packet p = u.traffic.pop(t);
-            u.stats.queueWaitSlots.add(
+        if (arqs[g].nextSeq() != prev_next) {
+            const mac::Packet p = traffic[g].pop(t);
+            stats[g].queueWaitSlots.add(
                 static_cast<double>(t - p.arrival));
-            u.stats.queueWaitHist.add(
+            stats[g].queueWaitHist.add(
                 static_cast<double>(t - p.arrival));
-            notePop(u.tctx, seq, p);
+            notePop(tctx[g], seq, p);
             first_wait = static_cast<std::int64_t>(t - p.arrival);
         }
-        recordGrant(u.tctx, t, seq, u.arq->attemptsOf(seq),
+        recordGrant(tctx[g], t, seq, arqs[g].attemptsOf(seq),
                     first_wait);
-        cs.grantedUser = u.id;
-        cs.grantedSeq = seq;
-        active[static_cast<size_t>(ci)] = 1;
-        // PF averages track attempted service; outcome-independent
-        // so the slot can close here.
-        cs.sched->update(pick, static_cast<double>(payload_bits));
-        // Contention accounting: eligible but passed over.
+        granted_soa[static_cast<size_t>(c)] = static_cast<int>(g);
+        granted_seq[static_cast<size_t>(c)] = seq;
+        active[static_cast<size_t>(c)] = 1;
+        scheds[static_cast<size_t>(c)].update(
+            pick, static_cast<double>(payload_bits));
         int contenders = 0;
-        for (size_t i = 0; i < cs.users.size(); ++i) {
-            if (!cs.eligible[i])
+        for (size_t m = 0; m < mem.size(); ++m) {
+            if (!elig[m])
                 continue;
             ++contenders;
-            if (static_cast<int>(i) != pick)
-                ++users[static_cast<size_t>(cs.users[i])]
-                      .stats.stalledSlots;
+            if (static_cast<int>(m) != pick)
+                ++stats[mem[m]].stalledSlots;
         }
         // Fixed 1/k sharing: a grant contested by k eligible users
         // occupies the medium for k slots in total.
         if (fixed_contention && contenders > 1)
-            busy_until[static_cast<size_t>(ci)] =
+            busy_until[static_cast<size_t>(c)] =
                 t + static_cast<std::uint64_t>(contenders);
     };
 
-    // ---- phase 2: SINR over the active set, transmit ------------
-    auto phase_transmit = [&](std::uint64_t ci, std::uint64_t t) {
-        McCell &cs = cell_state[static_cast<size_t>(ci)];
-        if (cs.grantedUser < 0)
-            return;
-        McUser &u = users[static_cast<size_t>(cs.grantedUser)];
-        const int serv = static_cast<int>(ci);
+    // ---- phase 2: batched SINR + draws over the active set -----
+    // Worker-local gather buffers: one entry per granted cell.
+    struct Scratch {
+        std::vector<int> gi;            // soa index
+        std::vector<int> cell;          // owning cell
+        std::vector<std::int32_t> serving;
+        std::vector<const double *> rows;
+        std::vector<std::uint64_t> fade_keys;
+        std::vector<std::uint64_t> draw_keys;
+        std::vector<std::int32_t> rates;
+        std::vector<double> sig;
+        std::vector<double> sinr_db;
+        std::vector<double> pber;
+        std::vector<std::uint8_t> ok;
 
-        const double h2 = u.fadingPower(t, spec.frameIntervalUs);
-        const double sig = u.servGainLin * h2;
-        // Under mobility the live matrix row replaces the static
-        // topology gains (identical at epoch 0 by construction).
-        const double *grow = mob ? mob->gainRow(u.id) : nullptr;
-        double interference = 0.0;
-        for (int c2 = 0; c2 < cells; ++c2) {
-            if (c2 == serv || !active[static_cast<size_t>(c2)])
+        explicit Scratch(size_t cap)
+            : gi(cap), cell(cap), serving(cap), rows(cap),
+              fade_keys(cap), draw_keys(cap), rates(cap), sig(cap),
+              sinr_db(cap), pber(cap), ok(cap)
+        {}
+    };
+
+    auto phase_transmit = [&](Scratch &sc, int c_lo, int c_hi,
+                              std::uint64_t t) {
+        size_t k = 0;
+        for (int c = c_lo; c < c_hi; ++c) {
+            const int g = granted_soa[static_cast<size_t>(c)];
+            if (g < 0)
                 continue;
-            interference +=
-                (grow ? grow[c2] : topo.linkGainLin(u.id, c2)) *
-                interferenceFade(
-                    u.interfStream,
-                    t * static_cast<std::uint64_t>(cells) +
-                        static_cast<std::uint64_t>(c2));
+            const size_t gs = static_cast<size_t>(g);
+            sc.gi[k] = g;
+            sc.cell[k] = c;
+            sc.serving[k] = static_cast<std::int32_t>(c);
+            sc.rows[k] = rows[gs];
+            sc.fade_keys[k] = cache.interfKey[gs];
+            sc.draw_keys[k] = cache.drawKey[gs];
+            sc.rates[k] = static_cast<std::int32_t>(
+                softrate[gs].currentRate());
+            sc.sig[k] = serv_gain[gs] * fadingPower(g, t);
+            ++k;
         }
-        const double sinr_lin = sig / (1.0 + interference);
-        const double sinr_db = sinr_lin > 0.0
-                                   ? 10.0 * std::log10(sinr_lin)
-                                   : kZeroSinrDb;
+        if (k == 0)
+            return;
 
-        const phy::RateIndex rate = u.softrate.currentRate();
-        LinkFrameResult fr;
+        const kernels::Ops &ops = kernels::ops();
+        ops.sinrAccumBatch(sc.rows.data(), sc.serving.data(),
+                           sc.fade_keys.data(), active.data(),
+                           cells, t, sc.sig.data(), k, kZeroSinrDb,
+                           sc.sinr_db.data());
+
         if (spec.fidelity.fullPhySlot(t)) {
-            // The bit-exact rung, conditioned on this slot's SINR:
-            // the frame runs tx -> AWGN at the effective SINR ->
-            // rx -> decode (interference enters as Gaussian noise,
-            // the same conditioning the calibration table uses).
-            if (!u.awgn)
-                u.awgn = std::make_unique<channel::AwgnChannel>(
-                    sinr_db, u.awgnSeed);
-            else
-                u.awgn->setSnrDb(sinr_db);
-            std::unique_ptr<WorkerPhy> phy = phy_pool.acquire();
-            phy->arena.reset();
-            BitSpan payload =
-                phy->arena.alloc<Bit>(payload_bits);
-            fillDeterministicBits(payload, u.payloadSeed,
-                                  cs.grantedSeq);
-            FrameContext ctx(phy->arena);
-            SampleSpan samples =
-                phy->txAt(rate, spec.link.rx)
-                    .modulate(payload, ctx);
-            u.awgn->apply(samples, t);
-            phy::RxFrame rx_frame =
-                phy->rxAt(rate, spec.link.rx)
-                    .demodulate(samples, payload_bits,
-                                u.awgn.get(), t, ctx);
-            fr.ok = rx_frame.bitErrors(payload) == 0;
-            fr.pber = estimator.packetBerForRate(rate,
-                                                 rx_frame.soft);
-            fr.fullPhy = true;
-            phy_pool.release(std::move(phy));
-        } else {
-            fr = u.analytic->drawAt(rate, t, sinr_db);
+            // The bit-exact rung, one frame at a time, at the
+            // batch-computed SINR (interference enters as Gaussian
+            // noise, the conditioning the calibration table uses).
+            for (size_t j = 0; j < k; ++j) {
+                const size_t g = static_cast<size_t>(sc.gi[j]);
+                const double sinr_db = sc.sinr_db[j];
+                const phy::RateIndex rate =
+                    static_cast<phy::RateIndex>(sc.rates[j]);
+                if (!awgn[g])
+                    awgn[g] =
+                        std::make_unique<channel::AwgnChannel>(
+                            sinr_db, cache.awgnSeed[g]);
+                else
+                    awgn[g]->setSnrDb(sinr_db);
+                const std::uint64_t seq =
+                    granted_seq[static_cast<size_t>(sc.cell[j])];
+                std::unique_ptr<WorkerPhy> phy =
+                    phy_pool.acquire();
+                phy->arena.reset();
+                BitSpan payload =
+                    phy->arena.alloc<Bit>(payload_bits);
+                fillDeterministicBits(payload,
+                                      cache.payloadSeed[g], seq);
+                FrameContext ctx(phy->arena);
+                SampleSpan samples =
+                    phy->txAt(rate, spec.link.rx)
+                        .modulate(payload, ctx);
+                awgn[g]->apply(samples, t);
+                phy::RxFrame rx_frame =
+                    phy->rxAt(rate, spec.link.rx)
+                        .demodulate(samples, payload_bits,
+                                    awgn[g].get(), t, ctx);
+                const bool ok =
+                    rx_frame.bitErrors(payload) == 0;
+                const double pber = estimator.packetBerForRate(
+                    rate, rx_frame.soft);
+                phy_pool.release(std::move(phy));
+
+                UserStats &st = stats[g];
+                ++st.framesSent;
+                st.framesOk += ok ? 1 : 0;
+                ++st.fullPhyFrames;
+                st.rateHist.add(static_cast<double>(rate));
+                st.sinrDb.add(sinr_db);
+                recordTx(tctx[g], t, seq, ok,
+                         static_cast<int>(rate));
+                softrate[g].onFeedback(pber);
+                arqs[g].onSendResult(seq, ok);
+            }
+            return;
         }
 
-        ++u.stats.framesSent;
-        u.stats.framesOk += fr.ok ? 1 : 0;
-        if (fr.fullPhy)
-            ++u.stats.fullPhyFrames;
-        else
-            ++u.stats.analyticFrames;
-        u.stats.rateHist.add(static_cast<double>(rate));
-        u.stats.sinrDb.add(sinr_db);
-        recordTx(u.tctx, t, cs.grantedSeq, fr.ok,
-                 static_cast<int>(rate));
-        u.softrate.onFeedback(fr.pber);
-        u.arq->onSendResult(cs.grantedSeq, fr.ok);
+        // The analytic rung: calibrated PER draws for the whole
+        // batch in one kernel call.
+        ops.perDrawBatch(flat_view, sc.rates.data(),
+                         sc.sinr_db.data(), sc.draw_keys.data(), t,
+                         k, sc.ok.data(), sc.pber.data());
+        for (size_t j = 0; j < k; ++j) {
+            const size_t g = static_cast<size_t>(sc.gi[j]);
+            UserStats &st = stats[g];
+            ++st.framesSent;
+            st.framesOk += sc.ok[j] ? 1 : 0;
+            ++st.analyticFrames;
+            st.rateHist.add(static_cast<double>(sc.rates[j]));
+            st.sinrDb.add(sc.sinr_db[j]);
+            recordTx(tctx[g], t,
+                     granted_seq[static_cast<size_t>(sc.cell[j])],
+                     sc.ok[j] != 0, static_cast<int>(sc.rates[j]));
+            softrate[g].onFeedback(sc.pber[j]);
+            arqs[g].onSendResult(
+                granted_seq[static_cast<size_t>(sc.cell[j])],
+                sc.ok[j] != 0);
+        }
     };
 
     // ---- mobility epochs: apply membership events ---------------
     // Runs single-threaded on worker 0 with the team held at a
-    // barrier, so it may touch any cell's state.
-    const bool pf =
-        spec.scheduler.kind == mac::SchedulerKind::ProportionalFair;
-    auto member_pos = [](const McCell &cs, int uid) {
+    // barrier, so it may touch any cell's state. Membership stays
+    // sorted by global user id, the order scheduler-local indices
+    // refer to.
+    auto member_pos = [&](const std::vector<std::uint32_t> &mem,
+                          int uid) {
         return static_cast<int>(
-            std::lower_bound(cs.users.begin(), cs.users.end(), uid) -
-            cs.users.begin());
-    };
-    auto resize_cell = [](McCell &cs) {
-        cs.eligible.resize(cs.users.size());
-        cs.urgent.assign(cs.users.size(), 0);
-        cs.instRate.assign(cs.users.size(), 0.0);
+            std::lower_bound(mem.begin(), mem.end(), uid,
+                             [&](std::uint32_t a, int b) {
+                                 return cache.order[static_cast<
+                                            size_t>(a)] < b;
+                             }) -
+            mem.begin());
     };
     auto remove_member = [&](int c, int uid, double *pf_carry) {
-        McCell &cs = cell_state[static_cast<size_t>(c)];
-        const int pos = member_pos(cs, uid);
+        std::vector<std::uint32_t> &mem =
+            members[static_cast<size_t>(c)];
+        const int pos = member_pos(mem, uid);
         if (pf_carry)
-            *pf_carry = cs.sched->averageRate(pos);
-        cs.sched->removeUser(pos);
-        cs.users.erase(cs.users.begin() + pos);
-        resize_cell(cs);
+            *pf_carry =
+                scheds[static_cast<size_t>(c)].averageRate(pos);
+        scheds[static_cast<size_t>(c)].removeUser(pos);
+        mem.erase(mem.begin() + pos);
+        state.resizeCell(static_cast<size_t>(c));
     };
     auto insert_member = [&](int c, int uid, double pf_carry) {
-        McCell &cs = cell_state[static_cast<size_t>(c)];
-        const int pos = member_pos(cs, uid);
-        cs.sched->insertUser(pos, pf_carry);
-        cs.users.insert(cs.users.begin() + pos, uid);
-        resize_cell(cs);
+        std::vector<std::uint32_t> &mem =
+            members[static_cast<size_t>(c)];
+        const int pos = member_pos(mem, uid);
+        scheds[static_cast<size_t>(c)].insertUser(pos, pf_carry);
+        mem.insert(mem.begin() + pos,
+                   static_cast<std::uint32_t>(
+                       cache.soaOf[static_cast<size_t>(uid)]));
+        state.resizeCell(static_cast<size_t>(c));
     };
     std::vector<MobilityRuntime::Event> mob_events;
     std::vector<mac::Arq::Delivery> mob_deliv;
@@ -525,7 +848,8 @@ runMulticellPerUser(
         mob_events.clear();
         mob->epoch(t, mob_events);
         for (const MobilityRuntime::Event &ev : mob_events) {
-            McUser &u = users[static_cast<size_t>(ev.user)];
+            const std::uint32_t i = static_cast<std::uint32_t>(
+                cache.soaOf[static_cast<size_t>(ev.user)]);
             int flushed = 0;
             int aborted = 0;
             switch (ev.kind) {
@@ -535,12 +859,12 @@ runMulticellPerUser(
                 // ARQ frames abort (already-acked heads still
                 // deliver in order).
                 remove_member(ev.fromCell, ev.user, nullptr);
-                flushed = u.traffic.flush(t);
+                flushed = traffic[i].flush(t);
                 mob_deliv.clear();
-                u.arq->abortAll(t, mob_deliv);
+                arqs[i].abortAll(t, mob_deliv);
                 for (const auto &d : mob_deliv) {
-                    recordDelivery(u.stats, d, payload_bits, t,
-                                   u.tctx, post_ho(u.id));
+                    recordDelivery(stats[i], d, payload_bits, t,
+                                   tctx[i], post_ho(i));
                     if (d.dropped)
                         ++aborted;
                 }
@@ -548,11 +872,10 @@ runMulticellPerUser(
               }
               case MobilityRuntime::Event::Kind::Join: {
                 insert_member(ev.toCell, ev.user, 0.0);
-                u.cell = ev.toCell;
-                u.tctx.rebind(ev.toCell, ev.toCell);
+                tctx[i].rebind(ev.toCell, ev.toCell);
                 if (trace)
-                    u.traffic.bindTrace(trace.get(), ev.toCell,
-                                        ev.toCell, u.id);
+                    traffic[i].bindTrace(trace.get(), ev.toCell,
+                                         ev.toCell, ev.user);
                 break;
               }
               case MobilityRuntime::Event::Kind::Handover: {
@@ -564,11 +887,10 @@ runMulticellPerUser(
                 remove_member(ev.fromCell, ev.user,
                               pf ? &carry : nullptr);
                 insert_member(ev.toCell, ev.user, carry);
-                u.cell = ev.toCell;
-                u.tctx.rebind(ev.toCell, ev.toCell);
+                tctx[i].rebind(ev.toCell, ev.toCell);
                 if (trace)
-                    u.traffic.bindTrace(trace.get(), ev.toCell,
-                                        ev.toCell, u.id);
+                    traffic[i].bindTrace(trace.get(), ev.toCell,
+                                         ev.toCell, ev.user);
                 break;
               }
             }
@@ -576,50 +898,16 @@ runMulticellPerUser(
                                 aborted);
         }
         // The epoch rewrote the live gain rows: refresh every
-        // user's serving-link gain (cheap, and also what keeps the
-        // PF metric and SINR on the moved positions).
-        for (McUser &uu : users)
-            uu.servGainLin = mob->servingGainLin(uu.id);
+        // user's serving-link gain.
+        for (size_t i2 = 0; i2 < nu; ++i2)
+            serv_gain[i2] = mob->servingGainLin(cache.order[i2]);
     };
 
     // ---- checkpoint/resume --------------------------------------
-    // The adapter maps this engine onto the canonical snapshot
-    // order; a fresh one is built per use (sync() re-derives the
-    // membership map).
-    auto make_ckpt = [&]() {
-        PuCheckpoint a;
-        a.users = &users;
-        a.cells = &cell_state;
-        a.busy = &busy_until;
-        a.schedCfg = &spec.scheduler;
-        a.mobp = mob.get();
-        a.tracep = trace.get();
-        a.sync();
-        return a;
-    };
-    std::uint64_t start_slot = 0;
-    if (spec.checkpoint.enabled() && spec.checkpoint.resume) {
-        PuCheckpoint a = make_ckpt();
-        start_slot = detail::loadMcCheckpoint(spec, a);
-        wilis_assert(start_slot <= slots,
-                     "checkpoint '%s' is at slot %llu, past the "
-                     "%llu-slot horizon",
-                     spec.checkpoint.file.c_str(),
-                     static_cast<unsigned long long>(start_slot),
-                     static_cast<unsigned long long>(slots));
-        // Re-point the traffic sources' trace lanes at the restored
-        // serving cells (the trace contexts restore their own lane;
-        // a churned-out user keeps its initial binding, which is
-        // dormant until the next join rebinds it).
-        if (trace) {
-            for (McUser &u : users)
-                if (a.cellOf[static_cast<size_t>(u.id)] >= 0)
-                    u.traffic.bindTrace(
-                        trace.get(),
-                        a.cellOf[static_cast<size_t>(u.id)],
-                        a.cellOf[static_cast<size_t>(u.id)], u.id);
-        }
-    }
+    const std::uint64_t start_slot =
+        spec.checkpoint.enabled() && spec.checkpoint.resume
+            ? loadMcCheckpoint(spec, cache, slots, state)
+            : 0;
     const std::uint64_t ckpt_every =
         spec.checkpoint.enabled() ? spec.checkpoint.everySlots : 0;
 
@@ -631,20 +919,19 @@ runMulticellPerUser(
 
     // The whole slot loop runs inside one LockstepTeam::run():
     // cells are statically partitioned across workers (each cell's
-    // state has exactly one owner, so static and dynamic sharding
-    // compute identical results) and the two phases are separated
-    // by barriers -- two per slot, where the old per-slot
-    // ThreadPool::parallelFor pair cost four condition-variable
-    // handshakes (the grid-3x3 thread-scaling regression). This
-    // barrier-phase ownership is lock-free by design and therefore
-    // invisible to -Wthread-safety; the CI TSan leg is what holds
-    // it (docs/ARCHITECTURE.md, "Static determinism guarantees").
+    // state has exactly one owner, so the split cannot change
+    // results) and the phases are separated by barriers. The SoA
+    // lanes have one writer per phase and publication rides the
+    // barrier's release/acquire edges, so there is no lock for the
+    // static analysis to check -- the CI TSan leg enforces this
+    // (docs/ARCHITECTURE.md, "Static determinism guarantees").
     LockstepTeam team(n);
     const int chunk = (cells + n - 1) / n;
     const std::uint64_t epoch_slots = mob ? mob->epochSlots() : 1;
     team.run([&](int w) {
         const int c_lo = std::min(cells, w * chunk);
         const int c_hi = std::min(cells, c_lo + chunk);
+        Scratch sc(static_cast<size_t>(c_hi - c_lo));
         for (std::uint64_t t = start_slot; t < slots; ++t) {
             if (ckpt_every != 0 && t > start_slot &&
                 t % ckpt_every == 0) {
@@ -652,10 +939,8 @@ runMulticellPerUser(
                 // whole team is parked at this barrier while worker
                 // 0 serializes -- the snapshot sees the state after
                 // slot t - 1, before slot t's mobility epoch.
-                if (w == 0) {
-                    PuCheckpoint a = make_ckpt();
-                    detail::saveMcCheckpoint(spec, a, t);
-                }
+                if (w == 0)
+                    saveMcCheckpoint(spec, cache, state, t);
                 team.barrier();
             }
             if (mob && t % epoch_slots == 0) {
@@ -668,93 +953,75 @@ runMulticellPerUser(
                 team.barrier();
             }
             for (int c = c_lo; c < c_hi; ++c)
-                phase_schedule(static_cast<std::uint64_t>(c), t);
+                phase_schedule(c, t);
             team.barrier();
-            for (int c = c_lo; c < c_hi; ++c)
-                phase_transmit(static_cast<std::uint64_t>(c), t);
+            phase_transmit(sc, c_lo, c_hi, t);
             // Phase 1 of slot t+1 rewrites active[] -- every
-            // cell's phase 2 must have read it first.
+            // worker's phase 2 must have read it first.
             team.barrier();
         }
     });
 
-    // Drain acknowledgements still in flight at the horizon so
-    // their deliveries are counted (no new transmissions).
-    for (McUser &u : users) {
-        std::vector<mac::Arq::Delivery> tail;
+    // Per user, in id order: drain acknowledgements still in
+    // flight at the horizon so their deliveries are counted (no new
+    // transmissions), then the run-level counters. Under mobility
+    // the final serving cell replaces the drop-time association and
+    // the first-handover slot splits the run into the before/after
+    // throughput windows.
+    std::vector<mac::Arq::Delivery> tail;
+    for (int id = 0; id < num_users; ++id) {
+        const size_t i = static_cast<size_t>(
+            cache.soaOf[static_cast<size_t>(id)]);
+        UserStats &st = stats[i];
         for (std::uint64_t t = slots;
              t <= slots + spec.ackDelaySlots; ++t) {
             tail.clear();
-            u.arq->tick(t, tail);
+            arqs[i].tick(t, tail);
             for (const auto &d : tail)
-                recordDelivery(u.stats, d, payload_bits, t, u.tctx,
-                               post_ho(u.id));
+                recordDelivery(st, d, payload_bits, t, tctx[i],
+                               post_ho(static_cast<std::uint32_t>(i)));
         }
-        u.stats.retransmissions = u.arq->retransmissions();
-        u.stats.arrivals = u.traffic.arrivals();
-        u.stats.queueDrops = u.traffic.drops();
-    }
-
-    // Mobility outcome statistics (the final serving cell replaces
-    // the drop-time association; the first-handover slot splits the
-    // run into the before/after throughput windows).
-    for (McUser &u : users) {
+        st.retransmissions = arqs[i].retransmissions();
+        st.arrivals = traffic[i].arrivals();
+        st.queueDrops = traffic[i].drops();
         if (mob) {
-            u.stats.servingCell = mob->servingCell(u.id);
-            u.stats.handovers = mob->handovers(u.id);
-            u.stats.pingPongs = mob->pingPongs(u.id);
-            u.stats.joins = mob->joins(u.id);
-            u.stats.leaves = mob->leaves(u.id);
-            u.stats.preHoSlots =
-                std::min(mob->firstHandoverSlot(u.id), slots);
+            st.servingCell = mob->servingCell(id);
+            st.handovers = mob->handovers(id);
+            st.pingPongs = mob->pingPongs(id);
+            st.joins = mob->joins(id);
+            st.leaves = mob->leaves(id);
+            st.preHoSlots =
+                std::min(mob->firstHandoverSlot(id), slots);
         } else {
-            u.stats.preHoSlots = slots;
+            st.preHoSlots = slots;
         }
-        u.stats.postHoSlots = slots - u.stats.preHoSlots;
+        st.postHoSlots = slots - st.preHoSlots;
     }
 
-    // End-to-end latency (arrival -> in-order delivery) is derived
-    // from the finalized trace's Ack events, so it exists exactly
-    // when the trace does.
     if (trace) {
         trace->finalize();
-        for (const auto &e : trace->entries()) {
+        // End-to-end latency (arrival -> in-order delivery) from
+        // the Ack events, in canonical trace order.
+        for (const mac::PacketTrace::Entry &e : trace->entries()) {
             if (e.event == mac::PacketEvent::Ack)
-                users[static_cast<size_t>(e.user)]
-                    .stats.e2eLatencyHist.add(
-                        static_cast<double>(e.arg1));
+                stats[static_cast<size_t>(
+                          cache.soaOf[static_cast<size_t>(e.user)])]
+                    .e2eLatencyHist.add(static_cast<double>(e.arg1));
         }
         res.trace = trace;
     }
 
-    res.users.resize(static_cast<size_t>(num_users));
-    for (int u = 0; u < num_users; ++u)
-        res.users[static_cast<size_t>(u)] =
-            users[static_cast<size_t>(u)].stats;
+    res.users.resize(nu);
+    for (int id = 0; id < num_users; ++id)
+        res.users[static_cast<size_t>(id)] =
+            stats[static_cast<size_t>(
+                cache.soaOf[static_cast<size_t>(id)])];
 
-    // Aggregate in user order: the merge sequence is fixed, so the
-    // merged floating-point statistics are deterministic too.
     res.aggregate = UserStats();
     res.aggregate.user = -1;
     for (const UserStats &u : res.users)
         res.aggregate.merge(u);
     return res;
-}
-
-NetworkResult
-runMulticellNetwork(
-    const NetworkSpec &spec, const Topology &topo,
-    const softphy::BerEstimator &estimator,
-    std::shared_ptr<const softphy::CalibrationTable> calib,
-    std::uint64_t slots, int threads,
-    std::shared_ptr<McSoaCache> *cache)
-{
-    if (spec.engine == "peruser")
-        return runMulticellPerUser(spec, topo, estimator,
-                                   std::move(calib), slots, threads);
-    // "soa" and its "auto" alias.
-    return runMulticellSoa(spec, topo, estimator, std::move(calib),
-                           slots, threads, cache);
 }
 
 } // namespace sim

@@ -22,18 +22,13 @@
  *       (calibrated analytic draw, or the bit-exact PHY at the
  *       conditioned SINR), and feed ARQ/SoftRate.
  *
- * Two engines implement this model and produce bit-identical
- * NetworkResults for any spec, thread count and kernel backend
- * (NetworkSpec::engine selects; "auto" resolves to "soa"):
- *
- *  - runMulticellPerUser() -- the original per-user object walk,
- *    kept as the readable bit-exact reference.
- *  - runMulticellSoa()     -- the structure-of-arrays engine
- *    (multicell_soa.cc): per-cell contiguous state blocks, with the
- *    phase-2 SINR accumulation, counter-RNG fades and calibrated
- *    PER draws batched through the runtime-dispatched kernels in
- *    common/kernels.hh (docs/ARCHITECTURE.md, "Structure-of-arrays
- *    analytic engine").
+ * One engine implements this model (multicell_sim.cc): per-user
+ * state lives in per-cell contiguous structure-of-arrays blocks, and
+ * the phase-2 SINR accumulation, counter-RNG fades and calibrated
+ * PER draws are batched through the runtime-dispatched kernels in
+ * common/kernels.hh (docs/ARCHITECTURE.md, "Structure-of-arrays
+ * analytic engine"). The forced scalar kernel backend is the
+ * readable reference for the batched math.
  *
  * All mutable state is owned by exactly one cell (its users'
  * queues, ARQ windows, schedulers, statistics) or one worker (PHY
@@ -60,41 +55,25 @@ namespace wilis {
 namespace sim {
 
 /**
- * Cross-run cache of the SoA engine's immutable derived per-user
+ * Cross-run cache of the engine's immutable derived per-user
  * state: Jakes oscillator banks, forked stream keys, serving gains
  * and the flattened calibration table -- everything that is a pure
  * function of (spec, topology, table) and therefore identical for
  * every run() of the same NetworkSim. Owned by NetworkSim (opaque
- * here; defined in multicell_soa.cc) so repeated runs skip the
+ * here; defined in multicell_sim.cc) so repeated runs skip the
  * rederivation; caching cannot change results.
  */
 struct McSoaCache;
 
 /**
  * Run @p slots frame slots of the multi-cell deployment @p topo
- * described by @p spec, dispatching on spec.engine. @p calib backs
- * the analytic fidelity rung (must be valid unless the mode is
- * "full"); @p estimator feeds SoftRate on the full-PHY rung.
- * @p cache, when non-null, lets the SoA engine reuse immutable
- * derived state across runs (pass the same slot for the same
- * spec/topo/calib only).
+ * described by @p spec. @p calib backs the analytic fidelity rung
+ * (must be valid unless the mode is "full"); @p estimator feeds
+ * SoftRate on the full-PHY rung. @p cache, when non-null, lets the
+ * engine reuse immutable derived state across runs (pass the same
+ * slot for the same spec/topo/calib only).
  */
 NetworkResult runMulticellNetwork(
-    const NetworkSpec &spec, const Topology &topo,
-    const softphy::BerEstimator &estimator,
-    std::shared_ptr<const softphy::CalibrationTable> calib,
-    std::uint64_t slots, int threads,
-    std::shared_ptr<McSoaCache> *cache = nullptr);
-
-/** The per-user reference engine (see file comment). */
-NetworkResult runMulticellPerUser(
-    const NetworkSpec &spec, const Topology &topo,
-    const softphy::BerEstimator &estimator,
-    std::shared_ptr<const softphy::CalibrationTable> calib,
-    std::uint64_t slots, int threads);
-
-/** The SIMD-batched structure-of-arrays engine (see file comment). */
-NetworkResult runMulticellSoa(
     const NetworkSpec &spec, const Topology &topo,
     const softphy::BerEstimator &estimator,
     std::shared_ptr<const softphy::CalibrationTable> calib,

@@ -584,12 +584,19 @@ NetworkSpec::applyConfig(const li::Config &cfg)
 
     trace = cfg.getBool("trace", trace);
 
-    engine = cfg.getString("engine", engine);
-    wilis_assert(engine == "auto" || engine == "soa" ||
-                     engine == "peruser",
-                 "unknown multi-cell engine '%s' "
-                 "(auto|soa|peruser)",
-                 engine.c_str());
+    // Deprecated: the per-user engine is gone, so the old engine
+    // selector is accepted (valid values only) and ignored.
+    if (cfg.has("engine")) {
+        const std::string engine = cfg.getString("engine", "");
+        wilis_assert(engine == "auto" || engine == "soa" ||
+                         engine == "peruser",
+                     "unknown multi-cell engine '%s' "
+                     "(auto|soa|peruser)",
+                     engine.c_str());
+        wilis_warn("key 'engine=%s' is deprecated and ignored: the "
+                   "multi-cell simulator has a single engine",
+                   engine.c_str());
+    }
 
     // Pass-throughs to the link template: explicit "link.<k>" keys
     // plus the common shorthands.
@@ -722,7 +729,6 @@ NetworkSpec::toConfig() const
                 mac::schedulerKindName(scheduler.kind));
         cfg.set("pf_horizon",
                 strprintf("%g", scheduler.pfHorizonSlots));
-        cfg.set("engine", engine);
         cfg.set("qdisc", mac::qdiscKindName(traffic.qdisc));
         cfg.set("control_rate",
                 strprintf("%g", traffic.controlRate));
@@ -767,8 +773,7 @@ NetworkSpec::fingerprint() const
     const li::Config cfg = toConfig();
     for (const auto &kv : cfg.entries()) {
         const std::string &key = kv.first;
-        if (key == "engine" || key == "reps" ||
-            key.rfind("checkpoint_", 0) == 0)
+        if (key == "reps" || key.rfind("checkpoint_", 0) == 0)
             continue;
         if (!out.empty())
             out += ',';

@@ -164,7 +164,7 @@ std::vector<std::string> scenarioSpecKeys();
  * src/sim/campaign.hh and common/snapshot.hh). Snapshots capture
  * the full mutable simulation state at a slot boundary; resuming
  * from one continues the run bit-identically to an uninterrupted
- * execution, for any thread count and either multi-cell engine.
+ * execution, for any thread count.
  */
 struct CheckpointSpec {
     /** Snapshot file path; empty disables checkpointing. */
@@ -301,8 +301,7 @@ struct NetworkSpec {
      * Record the per-packet event trace (mac::PacketTrace) into
      * NetworkResult::trace. Off by default: recording costs memory
      * proportional to the event count and a store per MAC event.
-     * The trace contents are bit-identical for any thread count and
-     * either multi-cell engine.
+     * The trace contents are bit-identical for any thread count.
      */
     bool trace = false;
 
@@ -312,16 +311,6 @@ struct NetworkSpec {
      * checkpoint_resume). Disabled by default.
      */
     CheckpointSpec checkpoint;
-
-    /**
-     * Multi-cell execution engine: "soa" runs the batched
-     * structure-of-arrays slot loop (the default resolution of
-     * "auto"), "peruser" the original per-user object walk kept as
-     * the bit-exact reference. Both produce identical NetworkResults
-     * for any spec, thread count and kernel backend; the knob exists
-     * for equivalence tests and A/B benchmarking.
-     */
-    std::string engine = "auto";
 
     /** True if this spec engages the multi-cell engine. */
     bool multicell() const { return topology.multicell(); }
@@ -359,9 +348,7 @@ struct NetworkSpec {
     /**
      * Canonical description of everything that shapes the run's
      * slot-by-slot dynamics, used to match a snapshot to the spec
-     * resuming it (common/snapshot.hh). Excludes the engine choice
-     * (both engines are bit-identical by contract, so a snapshot
-     * written under one resumes under the other), the checkpoint
+     * resuming it (common/snapshot.hh). Excludes the checkpoint
      * policy itself (a resume run may change where or how often it
      * saves) and the campaign rep count.
      */

@@ -4,7 +4,7 @@
  * transmitter/receiver pair per rate (built lazily -- a run that
  * never visits QAM64 never pays for it) and the frame arena backing
  * the zero-copy packet path, plus the mutex-guarded free list that
- * leases contexts to work items. Both the single-cell engine
+ * leases contexts to work items. Both the single-cell loop
  * (network_sim.cc) and the multi-cell engine (multicell_sim.cc)
  * draw from this pool, so at most `threads` contexts ever exist
  * regardless of the user or cell count.

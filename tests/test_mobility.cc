@@ -413,26 +413,19 @@ TEST(MobilityRun, DepartedUsersSettleEveryPacketInTheTrace)
     EXPECT_GT(settled_users, 0);
 }
 
-TEST(MobilityRun, UrbanMobileBitIdenticalAcrossThreadsAndEngines)
+TEST(MobilityRun, UrbanMobileBitIdenticalAcrossThreads)
 {
     NetworkSpec spec = urbanMobileSpec();
     spec.trace = true;
     const std::uint64_t slots = 600;
 
-    NetworkSpec per = spec;
-    per.engine = "peruser";
     NetworkResult ref = NetworkSim(spec).run(slots, 1);
     ASSERT_NE(ref.trace, nullptr);
     EXPECT_GT(ref.aggregate.handovers, 0u);
     const std::string ref_text = ref.trace->toText();
 
-    struct Case {
-        const NetworkSpec *spec;
-        int threads;
-    } cases[] = {{&spec, 2}, {&spec, 8}, {&per, 1},
-                 {&per, 2},  {&per, 8}};
-    for (const Case &c : cases) {
-        NetworkResult r = NetworkSim(*c.spec).run(slots, c.threads);
+    for (int threads : {2, 8}) {
+        NetworkResult r = NetworkSim(spec).run(slots, threads);
         ASSERT_EQ(r.users.size(), ref.users.size());
         for (size_t u = 0; u < ref.users.size(); ++u)
             expectSameMobileStats(ref.users[u], r.users[u],
@@ -440,8 +433,7 @@ TEST(MobilityRun, UrbanMobileBitIdenticalAcrossThreadsAndEngines)
         expectSameMobileStats(ref.aggregate, r.aggregate, -1);
         ASSERT_NE(r.trace, nullptr);
         EXPECT_EQ(ref_text, r.trace->toText())
-            << c.spec->engine << " @ " << c.threads
-            << " threads diverged";
+            << threads << " threads diverged";
     }
 }
 

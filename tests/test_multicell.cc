@@ -1,11 +1,12 @@
 /**
  * @file
  * Multi-cell network simulator tests: the acceptance bar is that
- * the `grid-3x3` and `dense-urban-10k` presets run bit-identically
- * at 1, 2 and 8 worker threads; around it, NetworkSpec round-trips
- * its topology/traffic/scheduler keys, the scheduler actually
- * arbitrates (one grant per cell per slot), the full-PHY rung works
- * at conditioned SINR, and the analytic rung tracks it.
+ * the preset matrix reproduces its golden per-user statistics and
+ * trace hashes at 1, 2 and 8 worker threads, on the scalar kernel
+ * backend and across a checkpoint resume; around it, NetworkSpec
+ * round-trips its topology/traffic/scheduler keys, the scheduler
+ * actually arbitrates (one grant per cell per slot), the full-PHY
+ * rung works at conditioned SINR, and the analytic rung tracks it.
  */
 
 #include <gtest/gtest.h>
@@ -34,77 +35,79 @@ calibrationPath()
            "/data/network_calibration.txt";
 }
 
-void
-expectSameStats(const UserStats &a, const UserStats &b, int user)
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+/** FNV-1a over @p bytes, chained through @p h. */
+std::uint64_t
+fnv1a(std::uint64_t h, const std::string &bytes)
 {
-    EXPECT_EQ(a.framesSent, b.framesSent) << "user " << user;
-    EXPECT_EQ(a.framesOk, b.framesOk) << "user " << user;
-    EXPECT_EQ(a.stalledSlots, b.stalledSlots) << "user " << user;
-    EXPECT_EQ(a.retransmissions, b.retransmissions)
-        << "user " << user;
-    EXPECT_EQ(a.delivered, b.delivered) << "user " << user;
-    EXPECT_EQ(a.dropped, b.dropped) << "user " << user;
-    EXPECT_EQ(a.goodputBits, b.goodputBits) << "user " << user;
-    EXPECT_EQ(a.arrivals, b.arrivals) << "user " << user;
-    EXPECT_EQ(a.queueDrops, b.queueDrops) << "user " << user;
-    EXPECT_EQ(a.fullPhyFrames, b.fullPhyFrames) << "user " << user;
-    EXPECT_EQ(a.analyticFrames, b.analyticFrames)
-        << "user " << user;
-    EXPECT_EQ(a.servingCell, b.servingCell) << "user " << user;
-    EXPECT_EQ(a.handovers, b.handovers) << "user " << user;
-    EXPECT_EQ(a.pingPongs, b.pingPongs) << "user " << user;
-    EXPECT_EQ(a.joins, b.joins) << "user " << user;
-    EXPECT_EQ(a.leaves, b.leaves) << "user " << user;
-    EXPECT_EQ(a.goodputBitsPreHo, b.goodputBitsPreHo)
-        << "user " << user;
-    EXPECT_EQ(a.goodputBitsPostHo, b.goodputBitsPostHo)
-        << "user " << user;
-    EXPECT_EQ(a.preHoSlots, b.preHoSlots) << "user " << user;
-    EXPECT_EQ(a.postHoSlots, b.postHoSlots) << "user " << user;
-    EXPECT_DOUBLE_EQ(a.meanSnrDb, b.meanSnrDb) << "user " << user;
-    // Per-user statistics accumulate sequentially inside one cell's
-    // work item, so even the floating-point moments are
-    // bit-identical.
-    EXPECT_EQ(a.latencySlots.count(), b.latencySlots.count())
-        << "user " << user;
-    EXPECT_EQ(a.latencySlots.mean(), b.latencySlots.mean())
-        << "user " << user;
-    EXPECT_EQ(a.queueWaitSlots.mean(), b.queueWaitSlots.mean())
-        << "user " << user;
-    EXPECT_EQ(a.sinrDb.count(), b.sinrDb.count())
-        << "user " << user;
-    EXPECT_EQ(a.sinrDb.mean(), b.sinrDb.mean()) << "user " << user;
-    EXPECT_EQ(a.sinrDb.variance(), b.sinrDb.variance())
-        << "user " << user;
-    for (int bin = 0; bin < a.latencyHist.numBins(); ++bin)
-        EXPECT_EQ(a.latencyHist.count(bin), b.latencyHist.count(bin))
-            << "user " << user << " latency bin " << bin;
-    for (int bin = 0; bin < a.rateHist.numBins(); ++bin)
-        EXPECT_EQ(a.rateHist.count(bin), b.rateHist.count(bin))
-            << "user " << user << " rate bin " << bin;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
 }
 
+/**
+ * FNV-1a over the checkpoint serialization of every user's
+ * UserStats in id order, then the aggregate's: every counter,
+ * every raw moment accumulator and every histogram bin.
+ */
+std::uint64_t
+statsHash(const NetworkResult &r)
+{
+    SnapshotWriter w(1, "golden");
+    for (const UserStats &u : r.users)
+        sim::detail::saveUserStats(w, u);
+    sim::detail::saveUserStats(w, r.aggregate);
+    return fnv1a(kFnvBasis, w.bytes());
+}
+
+/** FNV-1a over the finalized trace text (0 when untraced). */
+std::uint64_t
+traceHash(const NetworkResult &r)
+{
+    return r.trace ? fnv1a(kFnvBasis, r.trace->toText()) : 0;
+}
+
+/** Forces the scalar kernel backend for one scope. */
+struct ScalarBackendScope {
+    ScalarBackendScope()
+    {
+        EXPECT_TRUE(kernels::setBackend(kernels::Backend::Scalar));
+    }
+    ~ScalarBackendScope()
+    {
+        kernels::setBackend(kernels::availableBackends().back());
+    }
+};
+
+struct GoldenCase {
+    const char *name;
+    NetworkSpec spec;
+    std::uint64_t slots;
+    bool scalarBackend;
+    std::uint64_t stats;
+    std::uint64_t trace; // 0 = untraced
+};
+
+NetworkSpec
+calibrated(const char *preset)
+{
+    NetworkSpec spec = networkPreset(preset);
+    spec.calibrationFile = calibrationPath();
+    return spec;
+}
+
+/** Per-user statistics are bit-identical at 1, 2 and 8 threads. */
 void
 expectThreadCountInvariant(const NetworkSpec &spec,
                            std::uint64_t slots)
 {
     NetworkSim sim(spec);
-    NetworkResult t1 = sim.run(slots, 1);
-    NetworkResult t2 = sim.run(slots, 2);
-    NetworkResult t8 = sim.run(slots, 8);
-
-    ASSERT_EQ(t1.users.size(),
-              static_cast<size_t>(spec.numUsers));
-    ASSERT_EQ(t2.users.size(), t1.users.size());
-    ASSERT_EQ(t8.users.size(), t1.users.size());
-    for (int u = 0; u < spec.numUsers; ++u) {
-        expectSameStats(t1.users[static_cast<size_t>(u)],
-                        t2.users[static_cast<size_t>(u)], u);
-        expectSameStats(t1.users[static_cast<size_t>(u)],
-                        t8.users[static_cast<size_t>(u)], u);
-    }
-    expectSameStats(t1.aggregate, t2.aggregate, -1);
-    expectSameStats(t1.aggregate, t8.aggregate, -1);
+    const std::uint64_t t1 = statsHash(sim.run(slots, 1));
+    EXPECT_EQ(t1, statsHash(sim.run(slots, 2)));
+    EXPECT_EQ(t1, statsHash(sim.run(slots, 8)));
 }
 
 } // namespace
@@ -218,70 +221,6 @@ TEST(Multicell, FullPhyRungBitIdenticalAt1_2_8Threads)
 
 namespace {
 
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
-
-/** FNV-1a over @p bytes, chained through @p h. */
-std::uint64_t
-fnv1a(std::uint64_t h, const std::string &bytes)
-{
-    for (unsigned char c : bytes) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-/**
- * FNV-1a over the checkpoint serialization of every user's
- * UserStats in id order, then the aggregate's: every counter,
- * every raw moment accumulator and every histogram bin.
- */
-std::uint64_t
-statsHash(const NetworkResult &r)
-{
-    SnapshotWriter w(1, "golden");
-    for (const UserStats &u : r.users)
-        sim::detail::saveUserStats(w, u);
-    sim::detail::saveUserStats(w, r.aggregate);
-    return fnv1a(kFnvBasis, w.bytes());
-}
-
-/** FNV-1a over the finalized trace text (0 when untraced). */
-std::uint64_t
-traceHash(const NetworkResult &r)
-{
-    return r.trace ? fnv1a(kFnvBasis, r.trace->toText()) : 0;
-}
-
-/** Forces the scalar kernel backend for one scope. */
-struct ScalarBackendScope {
-    ScalarBackendScope()
-    {
-        EXPECT_TRUE(kernels::setBackend(kernels::Backend::Scalar));
-    }
-    ~ScalarBackendScope()
-    {
-        kernels::setBackend(kernels::availableBackends().back());
-    }
-};
-
-struct GoldenCase {
-    const char *name;
-    NetworkSpec spec;
-    std::uint64_t slots;
-    bool scalarBackend;
-    std::uint64_t stats;
-    std::uint64_t trace; // 0 = untraced
-};
-
-NetworkSpec
-calibrated(const char *preset)
-{
-    NetworkSpec spec = networkPreset(preset);
-    spec.calibrationFile = calibrationPath();
-    return spec;
-}
-
 std::vector<GoldenCase>
 goldenCases()
 {
@@ -342,15 +281,10 @@ TEST(Multicell, GoldenPerUserPins)
         std::unique_ptr<ScalarBackendScope> scalar;
         if (c.scalarBackend)
             scalar = std::make_unique<ScalarBackendScope>();
-        for (const char *engine : {"peruser", "soa"}) {
-            for (int threads : {1, 2, 8}) {
-                SCOPED_TRACE(std::string(c.name) + " " + engine +
-                             " @ " + std::to_string(threads));
-                NetworkSpec spec = c.spec;
-                spec.engine = engine;
-                expectGolden(c, NetworkSim(spec).run(c.slots,
-                                                     threads));
-            }
+        for (int threads : {1, 2, 8}) {
+            SCOPED_TRACE(std::string(c.name) + " @ " +
+                         std::to_string(threads));
+            expectGolden(c, NetworkSim(c.spec).run(c.slots, threads));
         }
     }
 }
@@ -365,135 +299,52 @@ TEST(Multicell, GoldenPinsHoldAcrossCheckpointResume)
     const GoldenCase &c = cases.back();
     const std::string ckpt =
         ::testing::TempDir() + "wilis_golden_resume.snap";
-    for (const char *saver : {"peruser", "soa"}) {
-        NetworkSpec saving = c.spec;
-        saving.engine = saver;
-        saving.checkpoint.file = ckpt;
-        saving.checkpoint.everySlots = c.slots / 2;
-        expectGolden(c, NetworkSim(saving).run(c.slots, 2));
-        for (const char *engine : {"peruser", "soa"}) {
-            for (int threads : {1, 2, 8}) {
-                SCOPED_TRACE(std::string(saver) + " -> " + engine +
-                             " @ " + std::to_string(threads));
-                NetworkSpec resuming = c.spec;
-                resuming.engine = engine;
-                resuming.checkpoint.file = ckpt;
-                resuming.checkpoint.resume = true;
-                expectGolden(c, NetworkSim(resuming).run(c.slots,
-                                                         threads));
-            }
-        }
+    NetworkSpec saving = c.spec;
+    saving.checkpoint.file = ckpt;
+    saving.checkpoint.everySlots = c.slots / 2;
+    expectGolden(c, NetworkSim(saving).run(c.slots, 2));
+    for (int threads : {1, 2, 8}) {
+        SCOPED_TRACE(threads);
+        NetworkSpec resuming = c.spec;
+        resuming.checkpoint.file = ckpt;
+        resuming.checkpoint.resume = true;
+        expectGolden(c, NetworkSim(resuming).run(c.slots, threads));
     }
     std::remove(ckpt.c_str());
 }
 
-// ------------------------------------- SoA / per-user equivalence
+// --------------------------------------------------- engine state
 
-namespace {
-
-void
-expectSameResult(const NetworkResult &a, const NetworkResult &b)
+TEST(Multicell, DeprecatedEngineKeyIsIgnored)
 {
-    ASSERT_EQ(a.users.size(), b.users.size());
-    for (size_t u = 0; u < a.users.size(); ++u)
-        expectSameStats(a.users[u], b.users[u],
-                        static_cast<int>(u));
-    expectSameStats(a.aggregate, b.aggregate, -1);
-}
-
-} // namespace
-
-TEST(Multicell, EngineKeyRoundTripsAndRejectsUnknown)
-{
-    NetworkSpec s = networkPreset("grid-3x3");
-    EXPECT_EQ("auto", s.engine);
-    s.engine = "peruser";
-    NetworkSpec t = NetworkSpec::fromConfig(s.toConfig());
-    EXPECT_EQ("peruser", t.engine);
+    // "engine" selected between two bit-identical engines; one is
+    // left, so the key is accepted with a warning and dropped.
+    const NetworkSpec s = networkPreset("grid-3x3");
+    EXPECT_FALSE(s.toConfig().has("engine"));
+    for (const char *engine : {"auto", "soa", "peruser"}) {
+        li::Config cfg = s.toConfig();
+        cfg.set("engine", engine);
+        const NetworkSpec t = NetworkSpec::fromConfig(cfg);
+        EXPECT_FALSE(t.toConfig().has("engine"));
+        EXPECT_EQ(t.fingerprint(), s.fingerprint());
+    }
     li::Config bad = s.toConfig();
     bad.set("engine", "vectorized");
     EXPECT_DEATH(NetworkSpec::fromConfig(bad),
                  "unknown multi-cell engine");
 }
 
-TEST(Multicell, SoaEngineMatchesPerUserEngine)
-{
-    // The acceptance property of the SoA refactor: both engines
-    // produce the same NetworkResult bit-for-bit, including
-    // floating-point moments, on a mixed RR/PF x fidelity grid.
-    NetworkSpec spec = networkPreset("grid-3x3");
-    spec.calibrationFile = calibrationPath();
-    for (auto kind : {mac::SchedulerKind::RoundRobin,
-                      mac::SchedulerKind::ProportionalFair}) {
-        spec.scheduler.kind = kind;
-        NetworkSpec per = spec;
-        per.engine = "peruser";
-        NetworkSpec soa = spec;
-        soa.engine = "soa";
-        NetworkResult r_per = NetworkSim(per).run(120, 2);
-        NetworkResult r_soa = NetworkSim(soa).run(120, 2);
-        expectSameResult(r_per, r_soa);
-        // "auto" must resolve to the SoA engine.
-        NetworkResult r_auto = NetworkSim(spec).run(120, 2);
-        expectSameResult(r_per, r_auto);
-    }
-}
-
-TEST(Multicell, SoaEngineMatchesPerUserOnFullPhyRung)
-{
-    NetworkSpec spec = networkPreset("grid-3x3");
-    spec.numUsers = 8;
-    spec.topology.rows = 2;
-    spec.topology.cols = 2;
-    spec.link.payloadBits = 400;
-    spec.fidelity.mode = FidelityMode::Full;
-    spec.calibrationFile.clear();
-    NetworkSpec per = spec;
-    per.engine = "peruser";
-    NetworkResult r_per = NetworkSim(per).run(40, 2);
-    NetworkResult r_soa = NetworkSim(spec).run(40, 2);
-    expectSameResult(r_per, r_soa);
-}
-
 TEST(Multicell, SoaCacheReuseDoesNotChangeResults)
 {
-    // NetworkSim keeps the SoA engine's derived state across run()
+    // NetworkSim keeps the engine's derived state across run()
     // calls; a rerun on a warm cache must be bit-identical to the
     // cold first run.
     NetworkSpec spec = networkPreset("grid-3x3");
     spec.calibrationFile = calibrationPath();
     NetworkSim sim(spec);
-    NetworkResult cold = sim.run(100, 2);
-    NetworkResult warm = sim.run(100, 2);
-    expectSameResult(cold, warm);
-}
-
-/**
- * The dense-urban-10k acceptance bar of the SoA refactor, pinned
- * under the forced scalar kernel backend: the batched engine must
- * reproduce the per-user engine's UserStats bit-for-bit for every
- * one of the 10k+ users. Cross-backend exactness of the kernels
- * themselves is pinned in test_simd_kernels.cc, so scalar here
- * extends to every backend by transitivity.
- */
-TEST(Multicell, SoaMatchesPerUserOnDenseUrban10kScalarBackend)
-{
-    struct RestoreBackend {
-        ~RestoreBackend()
-        {
-            kernels::setBackend(
-                kernels::availableBackends().back());
-        }
-    } restore;
-    ASSERT_TRUE(kernels::setBackend(kernels::Backend::Scalar));
-
-    NetworkSpec spec = networkPreset("dense-urban-10k");
-    spec.calibrationFile = calibrationPath();
-    NetworkSpec per = spec;
-    per.engine = "peruser";
-    NetworkResult r_per = NetworkSim(per).run(16, 2);
-    NetworkResult r_soa = NetworkSim(spec).run(16, 2);
-    expectSameResult(r_per, r_soa);
+    const NetworkResult cold = sim.run(100, 2);
+    const NetworkResult warm = sim.run(100, 2);
+    EXPECT_EQ(statsHash(cold), statsHash(warm));
 }
 
 // ------------------------------------------------ engine behavior

@@ -2,9 +2,10 @@
  * @file
  * Packet event trace tests: the acceptance bar is that the finalized
  * trace is a pure function of the NetworkSpec -- bit-identical at 1,
- * 2 and 8 worker threads and across the peruser/soa engines on both
- * the grid-3x3 and dense-urban-10k presets -- and that the committed
- * golden trace under data/ pins grid-3x3 byte-for-byte. Around it:
+ * 2 and 8 worker threads on both the grid-3x3 and dense-urban-10k
+ * presets -- and that the committed golden trace under data/ pins
+ * grid-3x3 byte-for-byte (test_multicell.cc pins hashes of more
+ * traced presets). Around it:
  * the text format round-trips through save()/load(), diff() localizes
  * divergences, and the trace's Ack events feed the end-to-end latency
  * histogram.
@@ -85,7 +86,7 @@ TEST(PacketTrace, GoldenGrid3x3TraceMatchesByteForByte)
                *NetworkSim(tracedGrid()).run(200, 2).trace);
 }
 
-// ------------------------------ thread / engine independence (bar)
+// ------------------------------------ thread independence (bar)
 
 TEST(PacketTrace, Grid3x3TraceBitIdenticalAt1_2_8Threads)
 {
@@ -95,44 +96,25 @@ TEST(PacketTrace, Grid3x3TraceBitIdenticalAt1_2_8Threads)
     EXPECT_EQ(t1, runTraceText(spec, 120, 8));
 }
 
-TEST(PacketTrace, Grid3x3TraceIdenticalAcrossEngines)
-{
-    NetworkSpec per = tracedGrid();
-    per.engine = "peruser";
-    NetworkSpec soa = tracedGrid();
-    soa.engine = "soa";
-    EXPECT_EQ(runTraceText(per, 120, 2), runTraceText(soa, 120, 2));
-}
-
-TEST(PacketTrace, DenseUrban10kTraceThreadAndEngineInvariant)
+TEST(PacketTrace, DenseUrban10kTraceThreadInvariant)
 {
     NetworkSpec spec = networkPreset("dense-urban-10k");
     spec.calibrationFile = calibrationPath();
     spec.trace = true;
-    NetworkSpec per = spec;
-    per.engine = "peruser";
     const std::string t1 = runTraceText(spec, 16, 1);
     EXPECT_FALSE(t1.empty());
     EXPECT_EQ(t1, runTraceText(spec, 16, 8));
-    EXPECT_EQ(t1, runTraceText(per, 16, 2));
 }
 
-TEST(PacketTrace, NewClassAwarePathsAreEngineInvariantToo)
+TEST(PacketTrace, ClassAwarePathsAreThreadInvariant)
 {
-    // The qdisc / control-class / contention wiring is duplicated
-    // across both engines; the trace is the strongest equivalence
-    // witness for it.
     NetworkSpec spec = tracedGrid();
     spec.traffic.qdisc = mac::QdiscKind::StrictPriority;
     spec.traffic.controlRate = 0.05;
     spec.scheduler.contention = mac::ContentionMode::Fixed;
-    NetworkSpec per = spec;
-    per.engine = "peruser";
-    NetworkSpec soa = spec;
-    soa.engine = "soa";
-    const std::string t_per = runTraceText(per, 100, 1);
-    EXPECT_EQ(t_per, runTraceText(soa, 100, 4));
-    EXPECT_NE(t_per.find(" ctrl "), std::string::npos)
+    const std::string t1 = runTraceText(spec, 100, 1);
+    EXPECT_EQ(t1, runTraceText(spec, 100, 4));
+    EXPECT_NE(t1.find(" ctrl "), std::string::npos)
         << "control arrivals must appear in the trace";
 }
 

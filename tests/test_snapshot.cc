@@ -5,8 +5,9 @@
  * bounds-checked read, and the engine-level checkpoint/resume is a
  * pure observer -- a run that saves checkpoints, and a run resumed
  * from one, both produce byte-identical campaign reports and packet
- * traces vs an uninterrupted run, across 1/2/8 threads, both
- * multi-cell engines, and a cross-engine save/resume pair.
+ * traces vs an uninterrupted run, across 1/2/8 threads. A snapshot
+ * past the horizon or with a corrupt membership table or trace is a
+ * located fatal error, never a crash.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 
 #include "common/snapshot.hh"
 #include "sim/campaign.hh"
+#include "sim/network_sim.hh"
 #include "sim/scenario.hh"
 
 using namespace wilis;
@@ -34,14 +36,13 @@ calibrationPath()
 
 /** A small mobile deployment: handover + churn on a 2x2 grid. */
 NetworkSpec
-mobileSpec(const std::string &engine)
+mobileSpec()
 {
     NetworkSpec spec = networkPreset("urban-mobile");
     spec.calibrationFile = calibrationPath();
     spec.numUsers = 24;
     spec.topology.rows = 2;
     spec.topology.cols = 2;
-    spec.engine = engine;
     return spec;
 }
 
@@ -72,7 +73,7 @@ runOnce(const NetworkSpec &spec, std::uint64_t slots, int threads)
     req.threads = threads;
     req.traceFile = trace_file;
     RunReport rep = runCampaignShard(req);
-    // The config echo names the run's own checkpoint/engine keys;
+    // The config echo names the run's own checkpoint keys;
     // blank it so report comparisons isolate the *results* (the
     // checkpointed, resumed and uninterrupted runs intentionally
     // differ in those keys).
@@ -168,73 +169,49 @@ TEST(SnapshotDeath, RejectsMissingFileAndMarkerSkew)
 
 // ------------------------------------------- checkpoint / resume
 
-TEST(CheckpointResume, BitIdenticalAcrossThreadsAndEngines)
+TEST(CheckpointResume, BitIdenticalAcrossThreads)
 {
     constexpr std::uint64_t kSlots = 200;
     constexpr std::uint64_t kEvery = 100;
 
-    for (const char *engine : {"soa", "peruser"}) {
-        SCOPED_TRACE(engine);
-        const NetworkSpec base = mobileSpec(engine);
-        const RunArtifacts reference = runOnce(base, kSlots, 2);
-        const std::string ckpt = ::testing::TempDir() +
-                                 "wilis_ckpt_" +
-                                 std::string(engine) + ".snap";
+    const NetworkSpec base = mobileSpec();
+    const RunArtifacts reference = runOnce(base, kSlots, 2);
+    const std::string ckpt = ::testing::TempDir() + "wilis_ckpt.snap";
 
-        // A run that *saves* checkpoints is a pure observer: same
-        // report, same trace.
-        NetworkSpec saving = base;
-        saving.checkpoint.file = ckpt;
-        saving.checkpoint.everySlots = kEvery;
-        const RunArtifacts observed = runOnce(saving, kSlots, 2);
-        EXPECT_EQ(observed.report, reference.report);
-        EXPECT_EQ(observed.trace, reference.trace);
-
-        // Resuming from the slot-100 snapshot must replay slots
-        // 100..200 into byte-identical artifacts, at any thread
-        // count.
-        NetworkSpec resuming = base;
-        resuming.checkpoint.file = ckpt;
-        resuming.checkpoint.resume = true;
-        for (int threads : {1, 2, 8}) {
-            SCOPED_TRACE(threads);
-            const RunArtifacts resumed =
-                runOnce(resuming, kSlots, threads);
-            EXPECT_EQ(resumed.report, reference.report);
-            EXPECT_EQ(resumed.trace, reference.trace);
-        }
-        std::remove(ckpt.c_str());
-    }
-}
-
-TEST(CheckpointResume, SnapshotResumesUnderTheOtherEngine)
-{
-    constexpr std::uint64_t kSlots = 160;
-    const RunArtifacts reference =
-        runOnce(mobileSpec("soa"), kSlots, 2);
-    const std::string ckpt =
-        ::testing::TempDir() + "wilis_ckpt_cross.snap";
-
-    // Save under SoA; the canonical serialization order (global
-    // user id / cell index) is engine-neutral, so the per-user
-    // engine must resume it bit-identically.
-    NetworkSpec saving = mobileSpec("soa");
+    // A run that *saves* checkpoints is a pure observer: same
+    // report, same trace.
+    NetworkSpec saving = base;
     saving.checkpoint.file = ckpt;
-    saving.checkpoint.everySlots = 80;
-    runOnce(saving, kSlots, 2);
+    saving.checkpoint.everySlots = kEvery;
+    const RunArtifacts observed = runOnce(saving, kSlots, 2);
+    EXPECT_EQ(observed.report, reference.report);
+    EXPECT_EQ(observed.trace, reference.trace);
 
-    NetworkSpec resuming = mobileSpec("peruser");
+    // Resuming from the slot-100 snapshot must replay slots
+    // 100..200 into byte-identical artifacts, at any thread count.
+    NetworkSpec resuming = base;
     resuming.checkpoint.file = ckpt;
     resuming.checkpoint.resume = true;
-    const RunArtifacts resumed = runOnce(resuming, kSlots, 2);
-    EXPECT_EQ(resumed.report, reference.report);
-    EXPECT_EQ(resumed.trace, reference.trace);
+    for (int threads : {1, 2, 8}) {
+        SCOPED_TRACE(threads);
+        const RunArtifacts resumed = runOnce(resuming, kSlots, threads);
+        EXPECT_EQ(resumed.report, reference.report);
+        EXPECT_EQ(resumed.trace, reference.trace);
+    }
+
+    // A snapshot past the horizon is bad input, not a simulator bug.
+    NetworkSpec traced = resuming;
+    traced.trace = true; // as runOnce() records it
+    EXPECT_EXIT(NetworkSim(traced).run(kEvery / 2, 2),
+                ::testing::ExitedWithCode(1),
+                "wilis_ckpt.snap' is at slot 100, past the 50-slot "
+                "horizon");
     std::remove(ckpt.c_str());
 }
 
 TEST(CheckpointResumeDeath, ResumeWithoutSnapshotIsFatal)
 {
-    NetworkSpec spec = mobileSpec("soa");
+    NetworkSpec spec = mobileSpec();
     spec.checkpoint.file =
         ::testing::TempDir() + "wilis_ckpt_absent.snap";
     spec.checkpoint.resume = true;
@@ -243,4 +220,103 @@ TEST(CheckpointResumeDeath, ResumeWithoutSnapshotIsFatal)
     req.slots = 40;
     req.threads = 1;
     EXPECT_DEATH(runCampaignShard(req), "");
+}
+
+namespace {
+
+/** Little-endian u64 at @p at, the snapshot's integer encoding. */
+void
+patchU64(std::string &bytes, size_t at, std::uint64_t v)
+{
+    ASSERT_LE(at + 8, bytes.size());
+    for (int i = 0; i < 8; ++i)
+        bytes[at + static_cast<size_t>(i)] =
+            static_cast<char>((v >> (8 * i)) & 0xFF);
+}
+
+/**
+ * A traced static grid-3x3 snapshot at slot 50 plus the offsets of
+ * the fields the corruption tests patch. Without mobility the
+ * membership is the drop-time topology, so cell 0's serialized
+ * member block is known exactly.
+ */
+struct GridSnapshot {
+    NetworkSpec spec;
+    std::string bytes;
+    size_t user0Cell = 0;    // user 0's member cell
+    int user0Serving = 0;    // ...and its value
+    size_t cell0Count = 0;   // cell 0's member count
+    size_t traceShard0 = 0;  // trace shard 0's entry count
+
+    GridSnapshot()
+    {
+        spec = networkPreset("grid-3x3");
+        spec.calibrationFile = calibrationPath();
+        spec.trace = true;
+        const std::string path =
+            ::testing::TempDir() + "wilis_ckpt_grid.snap";
+        NetworkSpec saving = spec;
+        saving.checkpoint.file = path;
+        saving.checkpoint.everySlots = 50;
+        NetworkSim sim(saving);
+        sim.run(100, 2);
+        bytes = slurp(path);
+        std::remove(path.c_str());
+
+        const size_t header =
+            SnapshotWriter(1, spec.fingerprint()).bytes().size();
+        user0Cell = header + 8; // after the slot
+        user0Serving = sim.topology()->servingCell(0);
+        SnapshotWriter block(1, spec.fingerprint());
+        const std::vector<int> members = sim.topology()->cellUsers(0);
+        block.u64(members.size());
+        for (int id : members)
+            block.i64(id);
+        block.marker(0x44454853); // the scheduler's "SHED"
+        cell0Count = bytes.find(block.bytes().substr(header));
+        traceShard0 = bytes.rfind("TRAC") + 4 + 8;
+    }
+
+    /** Resume from @p patched (dies on a corrupt snapshot). */
+    void
+    resume(const std::string &patched) const
+    {
+        const std::string path =
+            ::testing::TempDir() + "wilis_ckpt_patched.snap";
+        std::ofstream(path, std::ios::binary) << patched;
+        NetworkSpec resuming = spec;
+        resuming.checkpoint.file = path;
+        resuming.checkpoint.resume = true;
+        NetworkSim(resuming).run(100, 2);
+    }
+};
+
+} // namespace
+
+TEST(CheckpointResumeDeath, CorruptMembershipAndTraceAreFatal)
+{
+    const GridSnapshot g;
+    ASSERT_NE(g.cell0Count, std::string::npos);
+    g.resume(g.bytes); // the unpatched snapshot resumes
+
+    const auto expectFatal = [&](size_t at, std::uint64_t v,
+                                 const std::string &message) {
+        std::string b = g.bytes;
+        patchU64(b, at, v);
+        EXPECT_EXIT(g.resume(b), ::testing::ExitedWithCode(1),
+                    "wilis_ckpt_patched.snap'.*" + message);
+    };
+    expectFatal(g.cell0Count, 1ull << 61,
+                "cell 0 lists 2305843009213693952 members");
+    expectFatal(g.cell0Count + 8,
+                static_cast<std::uint64_t>(-5000000ll),
+                "cell 0 member id -5000000 is not increasing");
+    expectFatal(g.cell0Count + 8, 1000,
+                "cell 0 member id 1000 is not increasing");
+    expectFatal(g.user0Cell, 9, "user 0 has member cell 9");
+    expectFatal(g.user0Cell,
+                static_cast<std::uint64_t>((g.user0Serving + 1) % 9),
+                "lists user 0, whose member cell is");
+    expectFatal(g.traceShard0, 1ull << 61,
+                "trace shard of 2305843009213693952 entries");
 }
