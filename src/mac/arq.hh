@@ -369,8 +369,9 @@ class Arq
      * Serialize the mutable state (checkpoint/resume). The window
      * and the pending-ack ring are written in canonical order --
      * window slots by index, pending acknowledgements oldest first
-     * -- so equal logical state always writes equal bytes. The Config is not stored; it is re-derived from the
-     * spec on resume.
+     * -- so equal logical state always writes equal bytes. The
+     * Config is not stored; it is re-derived from the spec on
+     * resume.
      */
     void
     saveState(SnapshotWriter &w) const

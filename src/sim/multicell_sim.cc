@@ -76,7 +76,6 @@ struct McSoaCache {
     std::vector<double> servGain;         // serving link, linear
     std::vector<double> meanSnr;          // serving link, dB
     std::vector<const double *> gainRows; // into topo's matrix
-    std::vector<std::uint64_t> faderSeed;
     std::vector<std::uint64_t> payloadSeed;
     std::vector<std::uint64_t> trafficSeed;
     std::vector<std::uint64_t> drawKey;  // analytic success draws
@@ -147,7 +146,6 @@ buildCache(const NetworkSpec &spec, const Topology &topo,
     cache->servGain.resize(n);
     cache->meanSnr.resize(n);
     cache->gainRows.resize(n);
-    cache->faderSeed.resize(n);
     cache->payloadSeed.resize(n);
     cache->trafficSeed.resize(n);
     cache->drawKey.resize(n);
@@ -169,14 +167,12 @@ buildCache(const NetworkSpec &spec, const Topology &topo,
             CounterRng(spec.seed)
                 .fork(0xCE77ull)
                 .fork(static_cast<std::uint64_t>(id));
-        cache->faderSeed[i] = seeds.at(0);
         cache->payloadSeed[i] = seeds.at(1);
         cache->trafficSeed[i] = seeds.at(2);
         cache->drawKey[i] = seeds.at(3);
         cache->interfKey[i] = seeds.at(4);
         cache->awgnSeed[i] = seeds.at(5);
-        cache->faders.emplace_back(spec.dopplerHz,
-                                   cache->faderSeed[i]);
+        cache->faders.emplace_back(spec.dopplerHz, seeds.at(0));
     }
 
     if (table) {

@@ -12,7 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -72,14 +72,12 @@ traceHash(const NetworkResult &r)
 
 /** Forces the scalar kernel backend for one scope. */
 struct ScalarBackendScope {
+    const kernels::Backend saved = kernels::activeBackend();
     ScalarBackendScope()
     {
         EXPECT_TRUE(kernels::setBackend(kernels::Backend::Scalar));
     }
-    ~ScalarBackendScope()
-    {
-        kernels::setBackend(kernels::availableBackends().back());
-    }
+    ~ScalarBackendScope() { kernels::setBackend(saved); }
 };
 
 struct GoldenCase {
@@ -278,9 +276,9 @@ expectGolden(const GoldenCase &c, const NetworkResult &r)
 TEST(Multicell, GoldenPerUserPins)
 {
     for (const GoldenCase &c : goldenCases()) {
-        std::unique_ptr<ScalarBackendScope> scalar;
+        std::optional<ScalarBackendScope> scalar;
         if (c.scalarBackend)
-            scalar = std::make_unique<ScalarBackendScope>();
+            scalar.emplace();
         for (int threads : {1, 2, 8}) {
             SCOPED_TRACE(std::string(c.name) + " @ " +
                          std::to_string(threads));
@@ -313,7 +311,7 @@ TEST(Multicell, GoldenPinsHoldAcrossCheckpointResume)
     std::remove(ckpt.c_str());
 }
 
-// --------------------------------------------------- engine state
+// ------------------------------ deprecated key, cross-run cache
 
 TEST(Multicell, DeprecatedEngineKeyIsIgnored)
 {
