@@ -2,8 +2,9 @@
  * @file
  * google-benchmark microbenchmarks of the compute kernels: FFT,
  * mapper/demapper, interleaver, scrambler, AWGN noise generation,
- * and the three decoders. These quantify why the paper concludes a
- * pure-software simulator cannot reach line rate (section 5: "a
+ * the three decoders, and whole-frame OFDM modulate/demodulate.
+ * These quantify why the paper concludes a pure-software simulator
+ * cannot reach line rate (section 5: "a
  * well-tuned software radio will be able to achieve a few tens to
  * hundreds of Kbps" for BCJR-class algorithms; our optimized kernels
  * reach a few Mb/s per core -- still 10-50x short of the 54 Mb/s
@@ -173,6 +174,53 @@ BM_FullPipeline(benchmark::State &state)
 }
 BENCHMARK(BM_FullPipeline);
 
+// ---- The OFDM front end per frame: 1,000-bit payloads through the
+// zero-copy arena path the network simulator and the benchmark probe
+// use. Arg(0) is the rate index (0 = BPSK 1/2, 4 = QAM-16 1/2,
+// 7 = QAM-64 3/4).
+
+void
+BM_TxModulate(benchmark::State &state)
+{
+    const auto rate = static_cast<RateIndex>(state.range(0));
+    OfdmTransmitter tx(rate);
+    const BitVec payload = randomBits(1000, 9);
+    FrameArena arena;
+    for (auto _ : state) {
+        arena.reset();
+        FrameContext ctx(arena);
+        SampleSpan s = tx.modulate(BitView(payload), ctx);
+        benchmark::DoNotOptimize(s.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_TxModulate)->Arg(0)->Arg(4)->Arg(7);
+
+// Demodulation of one pre-impaired frame, decoder (max-log BCJR)
+// included, equalized against the channel's flat gain.
+void
+BM_RxDemodulate(benchmark::State &state)
+{
+    const auto rate = static_cast<RateIndex>(state.range(0));
+    OfdmTransmitter tx(rate);
+    OfdmReceiver rx(rate);
+    channel::AwgnChannel ch(25.0, 1);
+    SampleVec samples = tx.modulate(randomBits(1000, 10));
+    ch.apply(samples, 0);
+    FrameArena arena;
+    for (auto _ : state) {
+        arena.reset();
+        FrameContext ctx(arena);
+        RxFrame res =
+            rx.demodulate(SampleView(samples), 1000, &ch, 0, ctx);
+        benchmark::DoNotOptimize(res.payload.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_RxDemodulate)->Arg(0)->Arg(4)->Arg(7);
+
 // ---- SIMD kernel layer: per-backend microbenches. Arg(0) indexes
 // kernels::availableBackends(), so unsupported backends simply don't
 // register on a given host.
@@ -288,6 +336,26 @@ BM_KernelDemapBatch(benchmark::State &state)
                             static_cast<std::int64_t>(n * 6));
 }
 BENCHMARK(BM_KernelDemapBatch)->Arg(0)->Arg(1)->Arg(2);
+
+// The 64-point OFDM FFT kernel alone (phy::Fft dispatches to it).
+void
+BM_KernelFft64(benchmark::State &state)
+{
+    if (!selectBackendArg(state))
+        return;
+    Fft fft(64);
+    SplitMix64 rng(27);
+    SampleVec x(64), y(64);
+    for (auto &v : x)
+        v = Sample(rng.nextDouble() - 0.5, rng.nextDouble() - 0.5);
+    for (auto _ : state) {
+        fft.forward(x, y);
+        benchmark::DoNotOptimize(y.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_KernelFft64)->Arg(0)->Arg(1)->Arg(2);
 
 void
 BM_KernelScaleComplex(benchmark::State &state)

@@ -8,6 +8,8 @@
  * `wilis_cli --network ... --shard i/N` process per shard and merges
  * their reports (sim/campaign.hh).
  *
+ * `wilis_cli --help` (or -h) prints the usage text and exits 0.
+ *
  * Link-experiment mode (the historical interface):
  *   ./build/wilis_cli experiment.cfg
  *   ./build/wilis_cli "rate=4,decoder=sova,snr_db=9,packets=200"
@@ -52,6 +54,29 @@ const char *const kCliKeys[] = {
     "packets",     "threads",     "doppler_hz", "num_taps",
     "block_len",   "traceback_l", "traceback_k",
 };
+
+/** The usage text --help prints (and the no-argument run echoes). */
+void
+printUsage(std::FILE *to, const char *argv0)
+{
+    std::fprintf(
+        to,
+        "usage: %s <config-file | key=value,... | preset[,key=value,...]>\n"
+        "       %s --network <spec-arg> [--slots N] [--threads N]\n"
+        "                 [--shard I/N] [--report FILE] [--trace FILE]\n"
+        "       %s --help | -h\n"
+        "\n"
+        "Link experiment: the argument is a config file, an inline\n"
+        "key=value list or a scenario preset with overrides. CLI keys:\n"
+        "  packets (default 100), threads (0 = all cores),\n"
+        "  doppler_hz, num_taps, block_len, traceback_l, traceback_k;\n"
+        "every other key goes to the scenario spec (rate, decoder,\n"
+        "channel, snr_db, payload_bits, channel.<k>, decoder.<k>, ...).\n"
+        "\n"
+        "Campaign shard: runs shard I of N of a NetworkSpec campaign\n"
+        "and writes its report for wilis_campaign to merge.\n",
+        argv0, argv0, argv0);
+}
 
 /**
  * Resolve a link-experiment argument the same way
@@ -100,11 +125,9 @@ runLinkExperiment(int argc, char **argv)
         }
         spec = sim::parseScenarioSpecArg(rest.toString(), defaults);
     } else {
+        printUsage(stderr, argv[0]);
         std::fprintf(stderr,
-                     "usage: %s <config-file | key=value,... | "
-                     "preset>\n"
-                     "running the default experiment instead\n\n",
-                     argv[0]);
+                     "\nrunning the default experiment instead\n\n");
     }
 
     // The CLI's historical shorthand keys forward into the spec's
@@ -262,6 +285,13 @@ runCampaignShardMode(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
+    for (int a = 1; a < argc; ++a) {
+        const std::string arg = argv[a];
+        if (arg == "--help" || arg == "-h") {
+            printUsage(stdout, argv[0]);
+            return 0;
+        }
+    }
     for (int a = 1; a < argc; ++a)
         if (std::string(argv[a]) == "--network")
             return runCampaignShardMode(argc, argv);

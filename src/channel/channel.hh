@@ -79,6 +79,15 @@ class Channel
         return gain(packet_index, symbol_index);
     }
 
+    /**
+     * True if binGain() varies across subcarriers. A flat channel
+     * (the default) has binGain() == gain() on every bin, so a
+     * receiver equalizes each OFDM symbol with one gain() call; a
+     * channel that overrides binGain() with per-bin values must
+     * return true.
+     */
+    virtual bool frequencySelective() const { return false; }
+
     /** Noise variance N0 per complex sample (for eq. 3 scaling). */
     virtual double noiseVariance() const = 0;
 };

@@ -50,6 +50,7 @@ class MultipathChannel : public Channel
                 int symbol_index) const override;
     Sample binGain(std::uint64_t packet_index, int symbol_index,
                    int bin) const override;
+    bool frequencySelective() const override { return true; }
     double noiseVariance() const override
     {
         return awgn.noiseVariance();

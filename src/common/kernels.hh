@@ -26,6 +26,10 @@
  * precision for width and are benchmarked but deliberately not wired
  * into the decode path.
  *
+ * The OFDM (I)FFT is one entry too (fft): split re/im butterflies
+ * over per-direction twiddle tables, vectorized across each stage's
+ * butterflies once a stage spans a full vector.
+ *
  * Granularity: Viterbi and SOVA call the per-step ACS entries; the
  * max-log BCJR calls one whole-frame entry (bcjrMaxLog) that keeps
  * the state metrics in registers across steps. It relies on the
@@ -153,6 +157,27 @@ struct PerTableView {
 };
 
 /**
+ * One direction of a unitary radix-2 decimation-in-time FFT plan
+ * (phy::Fft owns the arrays and builds one view per direction). The
+ * twiddles are stored stage by stage: the stage with butterfly span
+ * 2 * half reads its half factors w[j * n / (2 * half)], j < half,
+ * contiguously at offset half - 1 of twRe / twIm. The inverse plan
+ * stores the conjugated factors.
+ */
+struct FftView {
+    /** Transform size (a power of two, at least 2). */
+    int n;
+    /** Bit-reversal permutation of 0..n-1. */
+    const std::int32_t *bitrev;
+    /** Real parts of the per-stage twiddles (n - 1 entries). */
+    const double *twRe;
+    /** Imaginary parts of the per-stage twiddles (n - 1 entries). */
+    const double *twIm;
+    /** Output scale, 1 / sqrt(n) for the unitary transform. */
+    double scale;
+};
+
+/**
  * One backend's kernel table. All entries are non-null; the scalar
  * table is the semantic reference for every function.
  */
@@ -214,6 +239,19 @@ struct Ops {
                        const double *weights, size_t n, double scale,
                        int soft_width, double full_scale,
                        SoftBit *out);
+
+    /**
+     * Unitary radix-2 DIT FFT of fv.n points from @p in to @p out
+     * (which may alias): a bit-reversed gather into split re/im
+     * arrays in @p work (2 * fv.n doubles of caller scratch), the
+     * butterfly stages in textbook order (span, group, j), each
+     * twiddle product formed as (ar*wr - ai*wi, ar*wi + ai*wr) with
+     * no FMA, then both parts scaled by fv.scale on the way out --
+     * the exact operation sequence of the std::complex loop it
+     * replaced, so every backend is bit-identical to it.
+     */
+    void (*fft)(const FftView &fv, const Sample *in, Sample *out,
+                double *work);
 
     /** In-place complex scale: s[i] *= h (flat-fading application). */
     void (*scaleComplex)(Sample *s, size_t n, Sample h);

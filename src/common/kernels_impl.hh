@@ -521,6 +521,171 @@ demapBatchKernel(int mod_kind, const Sample *ys,
     }
 }
 
+// -------------------------------------------------------------- fft
+//
+// Split re/im radix-2 DIT. Stage `half` pairs element g + j with
+// g + j + half in each group g of 2 * half elements, multiplying the
+// second by the stage's twiddle j. Every butterfly is the same
+// expression at every level; only how lanes are filled differs:
+//  - half >= kLanes: lanes take consecutive j, contiguous in both
+//    the data and the stage's twiddle slice;
+//  - half < kLanes: lanes take 2 * kLanes consecutive elements,
+//    split into group halves by VecF64::exchange<half>, with the
+//    twiddles replicated to match (lane l is position l % half);
+//  - a transform shorter than 2 * kLanes runs the scalar butterfly.
+
+namespace fft {
+
+/** One butterfly pass over lanes: (u, a) <- (u + a*w, u - a*w). */
+[[gnu::always_inline]] inline void
+butterfly(VecF64 &ur, VecF64 &ui, VecF64 &ar, VecF64 &ai, VecF64 wr,
+          VecF64 wi)
+{
+    const VecF64 vr = ar * wr - ai * wi;
+    const VecF64 vi = ar * wi + ai * wr;
+    ar = ur - vr;
+    ai = ui - vi;
+    ur = ur + vr;
+    ui = ui + vi;
+}
+
+/** Scalar twin of butterfly() on element pair (j, j + half). */
+inline void
+butterflyOne(double *r0, double *i0, double *r1, double *i1, double wr,
+             double wi)
+{
+    const double ar = *r1;
+    const double ai = *i1;
+    const double vr = ar * wr - ai * wi;
+    const double vi = ar * wi + ai * wr;
+    const double ur = *r0;
+    const double ui = *i0;
+    *r0 = ur + vr;
+    *i0 = ui + vi;
+    *r1 = ur - vr;
+    *i1 = ui - vi;
+}
+
+/** A stage narrower than a vector (half == H < kLanes). */
+template <int H>
+inline void
+narrowStage(double *re, double *im, int n, const double *wr,
+            const double *wi)
+{
+    constexpr int L = VecF64::kLanes;
+    double tr[L], ti[L];
+    for (int l = 0; l < L; ++l) {
+        tr[l] = wr[l % H];
+        ti[l] = wi[l % H];
+    }
+    const VecF64 vwr = VecF64::load(tr);
+    const VecF64 vwi = VecF64::load(ti);
+    for (int i = 0; i < n; i += 2 * L) {
+        VecF64 ur, ar, ui, ai;
+        VecF64::exchange<H>(VecF64::load(re + i),
+                            VecF64::load(re + i + L), ur, ar);
+        VecF64::exchange<H>(VecF64::load(im + i),
+                            VecF64::load(im + i + L), ui, ai);
+        butterfly(ur, ui, ar, ai, vwr, vwi);
+        VecF64 a, b;
+        VecF64::exchange<H>(ur, ar, a, b);
+        a.store(re + i);
+        b.store(re + i + L);
+        VecF64::exchange<H>(ui, ai, a, b);
+        a.store(im + i);
+        b.store(im + i + L);
+    }
+}
+
+/** All butterfly stages over the split arrays, then scale out. */
+template <int L>
+inline void
+stages(const FftView &fv, double *re, double *im, Sample *out)
+{
+    const int n = fv.n;
+    const bool lanes_fit = n >= 2 * L;
+    for (int half = 1; half < n; half <<= 1) {
+        const double *wr = fv.twRe + (half - 1);
+        const double *wi = fv.twIm + (half - 1);
+        if constexpr (L >= 2) {
+            if (half == 1 && lanes_fit) {
+                narrowStage<1>(re, im, n, wr, wi);
+                continue;
+            }
+        }
+        if constexpr (L >= 4) {
+            if (half == 2 && lanes_fit) {
+                narrowStage<2>(re, im, n, wr, wi);
+                continue;
+            }
+        }
+        for (int g = 0; g < n; g += 2 * half) {
+            double *r0 = re + g;
+            double *i0 = im + g;
+            double *r1 = r0 + half;
+            double *i1 = i0 + half;
+            int j = 0;
+            for (; j + L <= half; j += L) {
+                VecF64 ur = VecF64::load(r0 + j);
+                VecF64 ui = VecF64::load(i0 + j);
+                VecF64 ar = VecF64::load(r1 + j);
+                VecF64 ai = VecF64::load(i1 + j);
+                butterfly(ur, ui, ar, ai, VecF64::load(wr + j),
+                          VecF64::load(wi + j));
+                ur.store(r0 + j);
+                ui.store(i0 + j);
+                ar.store(r1 + j);
+                ai.store(i1 + j);
+            }
+            for (; j < half; ++j)
+                butterflyOne(r0 + j, i0 + j, r1 + j, i1 + j, wr[j],
+                             wi[j]);
+        }
+    }
+
+    // Scale and re-interleave: (re[i] * scale, im[i] * scale).
+    double *dst = reinterpret_cast<double *>(out);
+    const VecF64 vs = VecF64::broadcast(fv.scale);
+    int i = 0;
+    if constexpr (L >= 2) {
+        for (; i + L <= n; i += L) {
+            const VecF64 r = VecF64::load(re + i) * vs;
+            const VecF64 m = VecF64::load(im + i) * vs;
+            VecF64 lo, hi;
+            VecF64::exchange<1>(r, m, lo, hi);
+            if constexpr (L >= 4) {
+                VecF64 a, b;
+                VecF64::exchange<2>(lo, hi, a, b);
+                lo = a;
+                hi = b;
+            }
+            lo.store(dst + 2 * i);
+            hi.store(dst + 2 * i + L);
+        }
+    }
+    for (; i < n; ++i) {
+        dst[2 * i] = re[i] * fv.scale;
+        dst[2 * i + 1] = im[i] * fv.scale;
+    }
+}
+
+} // namespace fft
+
+inline void
+fftKernel(const FftView &fv, const Sample *in, Sample *out, double *work)
+{
+    const int n = fv.n;
+    double *re = work;
+    double *im = work + n;
+    const double *src = reinterpret_cast<const double *>(in);
+    for (int i = 0; i < n; ++i) {
+        const int j = fv.bitrev[i];
+        re[i] = src[2 * j];
+        im[i] = src[2 * j + 1];
+    }
+    fft::stages<VecF64::kLanes>(fv, re, im, out);
+}
+
 // ---------------------------------------------------------- channel
 
 inline void
@@ -791,6 +956,7 @@ inline const Ops kOps = {
     &normalizeMetricsKernel,
     &bestStateKernel,
     &demapBatchKernel,
+    &fftKernel,
     &scaleComplexKernel,
     &axpyNoiseKernel,
     &acsForwardI16Kernel,

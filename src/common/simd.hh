@@ -127,6 +127,27 @@ struct VecF64 {
         return {_mm256_addsub_pd(a.v, b.v)};
     }
 
+    /**
+     * Swap H-lane blocks between @p a and @p b (H < kLanes): of the
+     * 2 * kLanes elements a ++ b, taken in groups of 2H, @p lo gets
+     * each group's first H and @p hi its last H, lane l of both
+     * belonging to position l % H of its group. Self-inverse:
+     * exchange(lo, hi) gives a and b back.
+     */
+    template <int H>
+    static void
+    exchange(VecF64 a, VecF64 b, VecF64 &lo, VecF64 &hi)
+    {
+        static_assert(H == 1 || H == 2, "AVX2 exchange: H is 1 or 2");
+        if constexpr (H == 1) {
+            lo = {_mm256_unpacklo_pd(a.v, b.v)};
+            hi = {_mm256_unpackhi_pd(a.v, b.v)};
+        } else {
+            lo = {_mm256_permute2f128_pd(a.v, b.v, 0x20)};
+            hi = {_mm256_permute2f128_pd(a.v, b.v, 0x31)};
+        }
+    }
+
     /** Convert integral-valued lanes to i32 and store. */
     void
     storeAsI32(std::int32_t *p) const
@@ -183,6 +204,16 @@ struct VecF64 {
         return {_mm_addsub_pd(a.v, b.v)};
     }
 
+    /** See the AVX2 exchange(); here H is 1. */
+    template <int H>
+    static void
+    exchange(VecF64 a, VecF64 b, VecF64 &lo, VecF64 &hi)
+    {
+        static_assert(H == 1, "SSE exchange: H is 1");
+        lo = {_mm_unpacklo_pd(a.v, b.v)};
+        hi = {_mm_unpackhi_pd(a.v, b.v)};
+    }
+
     void
     storeAsI32(std::int32_t *p) const
     {
@@ -213,6 +244,14 @@ struct VecF64 {
      *  branch to a dedicated scalar loop instead of using these. */
     VecF64 swapPairs() const { return *this; }
     static VecF64 addsub(VecF64 a, VecF64 b) { return {a.v - b.v}; }
+
+    /** Single lane: never instantiated (callers need kLanes > H). */
+    template <int H>
+    static void
+    exchange(VecF64, VecF64, VecF64 &, VecF64 &)
+    {
+        static_assert(H < 0, "scalar VecF64 has no lanes to exchange");
+    }
 
     void
     storeAsI32(std::int32_t *p) const

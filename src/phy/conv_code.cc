@@ -1,6 +1,7 @@
 #include "phy/conv_code.hh"
 
 #include <bit>
+#include <cstring>
 
 #include "common/logging.hh"
 
@@ -24,6 +25,21 @@ ConvCode::ConvCode()
                 static_cast<int>((reg >> 1) & 0x3F);
         }
     }
+    for (int s = 0; s < kStates; ++s) {
+        for (unsigned n = 0; n < 16; ++n) {
+            std::uint64_t word = 0;
+            int st = s;
+            for (int i = 0; i < 4; ++i) {
+                const int x = static_cast<int>((n >> i) & 1);
+                const unsigned o = outputBits(st, x);
+                word |= static_cast<std::uint64_t>(o & 1) << (16 * i);
+                word |= static_cast<std::uint64_t>(o >> 1)
+                        << (16 * i + 8);
+                st = nextState(st, x);
+            }
+            nibble_out[static_cast<size_t>(s) * 16 + n] = word;
+        }
+    }
 }
 
 BitVec
@@ -44,18 +60,38 @@ ConvCode::encode(BitView data, bool terminate, BitSpan out) const
                                      : 0)),
                  "encoder output span size %zu for %zu data bits",
                  out.size(), data.size());
-    int state = 0;
-    size_t w = 0;
-    auto emit = [&](Bit x) {
-        unsigned o = outputBits(state, x);
-        out[w++] = static_cast<Bit>(o & 1);
-        out[w++] = static_cast<Bit>((o >> 1) & 1);
-        state = nextState(state, x);
+    unsigned state = 0;
+    Bit *o = out.data();
+    const Bit *x = data.data();
+    size_t i = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        // Four input bits per step: pack them into a nibble (input
+        // i at bit i; the multiply gathers byte i's low bit into bit
+        // 24 + i without carries), look the eight coded bits up as
+        // one word, and shift the nibble into the state register,
+        // newest input at bit 5 (nextState()'s definition).
+        for (; i + 4 <= data.size(); i += 4) {
+            std::uint32_t w;
+            std::memcpy(&w, x + i, 4);
+            const unsigned n = static_cast<unsigned>(
+                ((w & 0x01010101ull) * 0x01020408ull) >> 24) & 0xF;
+            std::memcpy(o, &nibble_out[state << 4 | n], 8);
+            o += 8;
+            state = (n << 2) | (state >> 4);
+        }
+    }
+    auto emit = [&](unsigned bit) {
+        const unsigned pair = output[state][bit];
+        o[0] = static_cast<Bit>(pair & 1);
+        o[1] = static_cast<Bit>(pair >> 1);
+        o += 2;
+        state = static_cast<unsigned>(nextState(static_cast<int>(state),
+                                                static_cast<int>(bit)));
     };
-    for (Bit b : data)
-        emit(b & 1);
+    for (; i < data.size(); ++i)
+        emit(x[i] & 1u);
     if (terminate) {
-        for (int i = 0; i < kTailBits; ++i)
+        for (int t = 0; t < kTailBits; ++t)
             emit(0);
     }
 }

@@ -87,6 +87,13 @@ class ConvCode
   private:
     std::array<std::array<int, 2>, kStates> next_state;
     std::array<std::array<unsigned, 2>, kStates> output;
+    /**
+     * Four input bits at once: nibble_out[state << 4 | n], with n's
+     * bit i the i-th input bit, holds the eight coded bits those
+     * inputs emit from @p state, one per byte in stream order
+     * (little-endian), built from output/next_state.
+     */
+    std::array<std::uint64_t, kStates * 16> nibble_out;
 };
 
 /** Process-wide shared code tables. */

@@ -3,24 +3,45 @@
 #include <cmath>
 #include <numbers>
 
+#include "common/kernels.hh"
 #include "common/logging.hh"
 
 namespace wilis {
 namespace phy {
 
+namespace {
+
+/** Transforms up to this size keep their kernel scratch on the stack. */
+constexpr int kStackPoints = 256;
+
+} // namespace
+
 Fft::Fft(int size_) : n(size_)
 {
     wilis_assert(n >= 2 && (n & (n - 1)) == 0,
                  "FFT size %d is not a power of two", n);
-    log2n = 0;
+    int log2n = 0;
     while ((1 << log2n) < n)
         ++log2n;
+    scale = 1.0 / std::sqrt(static_cast<double>(n));
 
-    twiddles.resize(static_cast<size_t>(n / 2));
+    std::vector<Sample> twiddles(static_cast<size_t>(n / 2));
     for (int k = 0; k < n / 2; ++k) {
         double ang = -2.0 * std::numbers::pi * k / n;
         twiddles[static_cast<size_t>(k)] =
             Sample(std::cos(ang), std::sin(ang));
+    }
+    // Stage `half` uses twiddles[j * n / (2 * half)], j < half.
+    for (int half = 1; half < n; half <<= 1) {
+        const int step = n / (2 * half);
+        for (int j = 0; j < half; ++j) {
+            const Sample w = twiddles[static_cast<size_t>(j * step)];
+            const Sample wc = std::conj(w);
+            fwd_re.push_back(w.real());
+            fwd_im.push_back(w.imag());
+            inv_re.push_back(wc.real());
+            inv_im.push_back(wc.imag());
+        }
     }
 
     bitrev.resize(static_cast<size_t>(n));
@@ -33,49 +54,23 @@ Fft::Fft(int size_) : n(size_)
 }
 
 void
-Fft::transform(SampleSpan x, bool invert) const
+Fft::transform(SampleView in, SampleSpan out, bool invert) const
 {
-    wilis_assert(static_cast<int>(x.size()) == n,
-                 "FFT input size %zu != %d", x.size(), n);
-
-    for (int i = 0; i < n; ++i) {
-        int j = bitrev[static_cast<size_t>(i)];
-        if (i < j)
-            std::swap(x[static_cast<size_t>(i)],
-                      x[static_cast<size_t>(j)]);
+    wilis_assert(static_cast<int>(in.size()) == n &&
+                     static_cast<int>(out.size()) == n,
+                 "FFT input size %zu / output size %zu != %d",
+                 in.size(), out.size(), n);
+    const kernels::FftView view{
+        n, bitrev.data(), invert ? inv_re.data() : fwd_re.data(),
+        invert ? inv_im.data() : fwd_im.data(), scale};
+    double stack_work[2 * kStackPoints];
+    std::vector<double> heap_work;
+    double *work = stack_work;
+    if (n > kStackPoints) {
+        heap_work.resize(2 * static_cast<size_t>(n));
+        work = heap_work.data();
     }
-
-    for (int len = 2; len <= n; len <<= 1) {
-        int half = len >> 1;
-        int step = n / len;
-        for (int i = 0; i < n; i += len) {
-            for (int j = 0; j < half; ++j) {
-                Sample w = twiddles[static_cast<size_t>(j * step)];
-                if (invert)
-                    w = std::conj(w);
-                Sample u = x[static_cast<size_t>(i + j)];
-                Sample v = x[static_cast<size_t>(i + j + half)] * w;
-                x[static_cast<size_t>(i + j)] = u + v;
-                x[static_cast<size_t>(i + j + half)] = u - v;
-            }
-        }
-    }
-
-    double scale = 1.0 / std::sqrt(static_cast<double>(n));
-    for (auto &v : x)
-        v *= scale;
-}
-
-void
-Fft::forward(SampleSpan x) const
-{
-    transform(x, false);
-}
-
-void
-Fft::inverse(SampleSpan x) const
-{
-    transform(x, true);
+    kernels::ops().fft(view, in.data(), out.data(), work);
 }
 
 } // namespace phy

@@ -78,13 +78,15 @@ Interleaver::interleaveStream(BitView in, BitSpan out) const
                  in.size(), n_cbps);
     wilis_assert(out.size() == in.size(),
                  "interleave output span size %zu", out.size());
+    // Local pointers: the byte stores below may alias anything, so
+    // the table pointer must not be re-read through the vector.
+    const int *f = fwd.data();
     for (size_t base = 0; base < in.size();
          base += static_cast<size_t>(n_cbps)) {
-        for (int k = 0; k < n_cbps; ++k) {
-            out[base + static_cast<size_t>(
-                           fwd[static_cast<size_t>(k)])] =
-                in[base + static_cast<size_t>(k)];
-        }
+        const Bit *src = in.data() + base;
+        Bit *dst = out.data() + base;
+        for (int k = 0; k < n_cbps; ++k)
+            dst[f[k]] = src[k];
     }
 }
 

@@ -24,6 +24,12 @@ Mapper::Mapper(Modulation mod_) : mod(mod_)
         k_mod = 1.0 / std::sqrt(42.0);
         break;
     }
+    for (int v = 0; v < (1 << n_bpsc); ++v) {
+        Bit bits[6];
+        for (int b = 0; b < n_bpsc; ++b)
+            bits[b] = static_cast<Bit>((v >> (n_bpsc - 1 - b)) & 1);
+        points[static_cast<size_t>(v)] = mapBits(bits);
+    }
 }
 
 double
@@ -53,7 +59,7 @@ Mapper::axisLevel(const Bit *bits, int bits_per_axis)
 }
 
 Sample
-Mapper::map(const Bit *bits) const
+Mapper::mapBits(const Bit *bits) const
 {
     switch (mod) {
       case Modulation::BPSK:
@@ -88,16 +94,8 @@ Mapper::mapStream(const BitVec &bits) const
 std::vector<Sample>
 Mapper::constellation() const
 {
-    std::vector<Sample> pts;
-    int count = 1 << n_bpsc;
-    pts.reserve(static_cast<size_t>(count));
-    for (int v = 0; v < count; ++v) {
-        Bit bits[6];
-        for (int b = 0; b < n_bpsc; ++b)
-            bits[b] = static_cast<Bit>((v >> (n_bpsc - 1 - b)) & 1);
-        pts.push_back(map(bits));
-    }
-    return pts;
+    return std::vector<Sample>(points.begin(),
+                               points.begin() + (1 << n_bpsc));
 }
 
 } // namespace phy

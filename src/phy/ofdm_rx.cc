@@ -1,9 +1,9 @@
 #include "phy/ofdm_rx.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "phy/conv_code.hh"
-#include "phy/cyclic_prefix.hh"
-#include "phy/scrambler.hh"
 
 namespace wilis {
 namespace phy {
@@ -51,11 +51,49 @@ OfdmReceiver::OfdmReceiver(RateIndex rate_idx)
 
 OfdmReceiver::OfdmReceiver(RateIndex rate_idx, const Config &cfg_)
     : params(rateTable(rate_idx)), cfg(cfg_),
-      interleaver(params.modulation), puncturer(params.codeRate),
+      puncturer(params.codeRate),
       demapper(params.modulation, cfg_.demapper),
-      fft(OfdmGeometry::kFftSize),
+      fft(OfdmGeometry::kFftSize), scrambler(cfg_.scramblerSeed),
       dec(decode::makeDecoder(cfg_.decoder, cfg_.decoderCfg))
-{}
+{
+    // Every symbol's N_CBPS punctured bits are a whole number of
+    // puncturing periods, so each symbol owns a contiguous slice of
+    // the rate-1/2 stream and one per-symbol table serves them all.
+    const Interleaver interleaver(params.modulation);
+    const size_t ncbps = static_cast<size_t>(params.nCbps);
+    sym_half = puncturer.unpuncturedLength(ncbps);
+    rx_scatter.resize(ncbps);
+    for (size_t k = 0; k < ncbps; ++k) {
+        rx_scatter[static_cast<size_t>(
+            interleaver.txPosition(static_cast<int>(k)))] =
+            static_cast<std::int32_t>(puncturer.unpuncturedIndex(k));
+    }
+}
+
+void
+equalizeDataCarriers(SampleView bins, const channel::Channel *csi,
+                     std::uint64_t packet_index, int symbol,
+                     Sample *eq, double *weights)
+{
+    const auto &data_bins = OfdmGeometry::dataBins();
+    if (csi && csi->frequencySelective()) {
+        for (size_t d = 0; d < data_bins.size(); ++d) {
+            const int bin = data_bins[d];
+            const Sample h = csi->binGain(packet_index, symbol, bin);
+            eq[d] = bins[static_cast<size_t>(bin)] / h;
+            if (weights)
+                weights[d] = std::abs(h);
+        }
+        return;
+    }
+    // Flat: binGain() == gain() on every bin.
+    const Sample h = csi ? csi->gain(packet_index, symbol)
+                         : Sample(1.0, 0.0);
+    for (size_t d = 0; d < data_bins.size(); ++d)
+        eq[d] = bins[static_cast<size_t>(data_bins[d])] / h;
+    if (weights)
+        std::fill(weights, weights + data_bins.size(), std::abs(h));
+}
 
 RxResult
 OfdmReceiver::demodulate(const SampleVec &samples, size_t payload_bits,
@@ -81,53 +119,39 @@ OfdmReceiver::demodulate(SampleView samples, size_t payload_bits,
         static_cast<int>(samples.size() / OfdmGeometry::kSymbolLen);
     FrameArena &arena = ctx.arena;
 
-    // Per-symbol: strip CP, FFT, equalize, soft-demap, deinterleave
-    // straight into the whole-packet soft stream.
-    SoftSpan soft_stream = arena.alloc<SoftBit>(
-        static_cast<size_t>(nsym) *
-        static_cast<size_t>(params.nCbps));
+    // Per-symbol: FFT the body behind the CP, equalize, soft-demap,
+    // then scatter the soft values through the combined
+    // deinterleave + depuncture table into the rate-1/2 stream,
+    // whose punctured positions stay zero (erasures).
+    SoftSpan rate_half = arena.alloc<SoftBit>(
+        static_cast<size_t>(nsym) * sym_half);
+    std::fill(rate_half.begin(), rate_half.end(), 0);
     SampleSpan body = arena.alloc<Sample>(OfdmGeometry::kFftSize);
     SoftSpan sym_soft = arena.alloc<SoftBit>(
         static_cast<size_t>(params.nCbps));
     SampleSpan eq = arena.alloc<Sample>(OfdmGeometry::kDataCarriers);
     std::span<double> csi_w =
         arena.alloc<double>(OfdmGeometry::kDataCarriers);
+    double *weights = cfg.applyCsiWeight ? csi_w.data() : nullptr;
     for (int s = 0; s < nsym; ++s) {
         const size_t base = static_cast<size_t>(s) *
                             OfdmGeometry::kSymbolLen;
-        removeCyclicPrefix(samples.subspan(base,
-                                           OfdmGeometry::kSymbolLen),
-                           body);
-        fft.forward(body);
-
-        // Equalize the data carriers, then soft-demap the whole
-        // symbol in one batched kernel call.
-        for (int d = 0; d < OfdmGeometry::kDataCarriers; ++d) {
-            int bin = OfdmGeometry::dataBin(d);
-            Sample h = csi ? csi->binGain(packet_index, s, bin)
-                           : Sample(1.0, 0.0);
-            eq[static_cast<size_t>(d)] =
-                body[static_cast<size_t>(bin)] / h;
-            if (cfg.applyCsiWeight)
-                csi_w[static_cast<size_t>(d)] = std::abs(h);
-        }
-        demapper.demapBatch(eq.data(),
-                            cfg.applyCsiWeight ? csi_w.data()
-                                               : nullptr,
+        fft.forward(samples.subspan(base + OfdmGeometry::kCpLen,
+                                    OfdmGeometry::kFftSize),
+                    body);
+        equalizeDataCarriers(body, csi, packet_index, s, eq.data(),
+                             weights);
+        demapper.demapBatch(eq.data(), weights,
                             static_cast<size_t>(
                                 OfdmGeometry::kDataCarriers),
                             sym_soft.data());
-        interleaver.deinterleave(
-            sym_soft,
-            soft_stream.subspan(static_cast<size_t>(s) *
-                                    static_cast<size_t>(params.nCbps),
-                                static_cast<size_t>(params.nCbps)));
+        SoftBit *dst =
+            rate_half.data() + static_cast<size_t>(s) * sym_half;
+        for (size_t j = 0; j < sym_soft.size(); ++j)
+            dst[rx_scatter[j]] = sym_soft[j];
     }
 
-    // Depuncture and decode the terminated block.
-    SoftSpan rate_half = arena.alloc<SoftBit>(
-        puncturer.unpuncturedLength(soft_stream.size()));
-    puncturer.depuncture(soft_stream, rate_half);
+    // Decode the terminated block.
     std::span<SoftDecision> decisions =
         arena.alloc<SoftDecision>(rate_half.size() / 2);
     dec->decodeInto(rate_half, decisions);
@@ -144,15 +168,14 @@ OfdmReceiver::demodulate(SampleView samples, size_t payload_bits,
                  "payload %zu larger than frame capacity %zu",
                  payload_bits, info_bits);
 
-    // Descramble and trim pad/tail.
-    Scrambler scrambler(cfg.scramblerSeed);
+    // Descramble against the PRBS period and trim pad/tail.
+    scrambler.reset(cfg.scramblerSeed);
     RxFrame res;
     res.payload = arena.alloc<Bit>(payload_bits);
     res.soft = arena.alloc<SoftDecision>(payload_bits);
     for (size_t i = 0; i < payload_bits; ++i) {
-        Bit prbs = scrambler.nextPrbsBit();
         SoftDecision d = decisions[i];
-        d.bit = d.bit ^ prbs;
+        d.bit = d.bit ^ scrambler.nextPrbsBit();
         res.payload[i] = d.bit;
         res.soft[i] = d;
     }

@@ -2,8 +2,8 @@
  * @file
  * Composed 802.11a/g OFDM receiver kernel: cyclic prefix removal ->
  * FFT -> equalization (perfect CSI) -> soft demapper ->
- * deinterleaver -> depuncturer -> pluggable soft decoder ->
- * descrambler (the RX half of Figure 1). The decoder slot is
+ * deinterleaver + depuncturer (one scatter) -> pluggable soft
+ * decoder -> descrambler (the RX half of Figure 1). The decoder slot is
  * resolved through the plug-n-play registry, so a receiver can be
  * built with "viterbi", "sova", "bcjr" or "bcjr-logmap" without any
  * source change.
@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "channel/channel.hh"
 #include "common/frame_arena.hh"
@@ -26,6 +27,7 @@
 #include "phy/modulation.hh"
 #include "phy/ofdm_symbol.hh"
 #include "phy/puncture.hh"
+#include "phy/scrambler.hh"
 
 namespace wilis {
 namespace phy {
@@ -66,6 +68,18 @@ struct RxFrame {
     /** Deep copy into an owning RxResult. */
     RxResult toResult() const;
 };
+
+/**
+ * Equalize one OFDM symbol's data carriers (perfect CSI):
+ * eq[d] = bins[dataBin(d)] / h_d for the 48 data carriers, and
+ * weights[d] = |h_d| when @p weights is non-null. h_d is the
+ * channel's binGain() on a frequency-selective channel, its gain()
+ * -- fetched once for the symbol -- on a flat one, and unity
+ * without @p csi.
+ */
+void equalizeDataCarriers(SampleView bins, const channel::Channel *csi,
+                          std::uint64_t packet_index, int symbol,
+                          Sample *eq, double *weights);
 
 /** Full OFDM receiver for one 802.11a/g rate. */
 class OfdmReceiver
@@ -128,10 +142,18 @@ class OfdmReceiver
   private:
     RateParams params;
     Config cfg;
-    Interleaver interleaver;
     Puncturer puncturer;
     Demapper demapper;
     Fft fft;
+    /** Descrambler holding the seed's PRBS period. */
+    Scrambler scrambler;
+    /**
+     * Deinterleave + depuncture as one scatter: soft value j of a
+     * demapped symbol lands at rx_scatter[j] within that symbol's
+     * slice of the rate-1/2 stream (sym_half values long).
+     */
+    std::vector<std::int32_t> rx_scatter;
+    size_t sym_half;
     std::unique_ptr<decode::SoftDecoder> dec;
     /** Backs the legacy vector-returning demodulate(). */
     FrameArena legacy_arena;

@@ -39,6 +39,18 @@ OfdmGeometry::dataBin(int i)
     return logicalToBin(data_logical[static_cast<size_t>(i)]);
 }
 
+const std::array<int, OfdmGeometry::kDataCarriers> &
+OfdmGeometry::dataBins()
+{
+    static const std::array<int, kDataCarriers> bins = [] {
+        std::array<int, kDataCarriers> b{};
+        for (int i = 0; i < kDataCarriers; ++i)
+            b[static_cast<size_t>(i)] = dataBin(i);
+        return b;
+    }();
+    return bins;
+}
+
 int
 OfdmGeometry::pilotBin(int i)
 {

@@ -37,6 +37,9 @@ struct OfdmGeometry {
     /** FFT bin of the i-th data subcarrier (0..47). */
     static int dataBin(int i);
 
+    /** dataBin(i) for every data subcarrier, in order. */
+    static const std::array<int, kDataCarriers> &dataBins();
+
     /** FFT bin of the i-th pilot subcarrier (0..3). */
     static int pilotBin(int i);
 };

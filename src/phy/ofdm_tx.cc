@@ -1,7 +1,8 @@
 #include "phy/ofdm_tx.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
-#include "phy/cyclic_prefix.hh"
 
 namespace wilis {
 namespace phy {
@@ -9,8 +10,9 @@ namespace phy {
 OfdmTransmitter::OfdmTransmitter(RateIndex rate_idx,
                                  std::uint8_t scrambler_seed)
     : params(rateTable(rate_idx)), seed(scrambler_seed),
-      interleaver(params.modulation), mapper(params.modulation),
-      puncturer(params.codeRate), fft(OfdmGeometry::kFftSize)
+      scrambler(scrambler_seed), interleaver(params.modulation),
+      mapper(params.modulation), puncturer(params.codeRate),
+      fft(OfdmGeometry::kFftSize)
 {}
 
 int
@@ -53,16 +55,15 @@ OfdmTransmitter::modulate(BitView payload, FrameContext &ctx,
     wilis_assert(!payload.empty(), "empty payload");
     FrameArena &arena = ctx.arena;
 
-    // Pad to fill whole OFDM symbols, scramble, encode (terminated).
+    // Pad to fill whole OFDM symbols, scramble in place (XOR against
+    // the seed's PRBS period), encode (terminated).
     const size_t info_bits = paddedInfoBits(payload.size());
-    BitSpan info = arena.alloc<Bit>(info_bits);
-    std::copy(payload.begin(), payload.end(), info.begin());
-    std::fill(info.begin() + static_cast<long>(payload.size()),
-              info.end(), 0);
-
-    Scrambler scrambler(seed);
     BitSpan scrambled = arena.alloc<Bit>(info_bits);
-    scrambler.process(info, scrambled);
+    std::copy(payload.begin(), payload.end(), scrambled.begin());
+    std::fill(scrambled.begin() + static_cast<long>(payload.size()),
+              scrambled.end(), 0);
+    scrambler.reset(seed);
+    scrambler.process(scrambled, scrambled);
     BitSpan coded = arena.alloc<Bit>(
         2 * (info_bits + static_cast<size_t>(ConvCode::kTailBits)));
     convCode().encode(scrambled, true, coded);
@@ -80,33 +81,33 @@ OfdmTransmitter::modulate(BitView payload, FrameContext &ctx,
                                 interleaved.end());
     }
 
-    // Map each symbol's coded bits to the 48 data subcarriers; the
-    // IFFT runs in the bins buffer and the CP copy lands directly in
-    // the output span (no per-symbol temporaries).
+    // Map each symbol's coded bits to the 48 data subcarriers (the
+    // null bins stay zero: the IFFT reads the bins buffer and writes
+    // the symbol body straight into the output span), then copy the
+    // body's tail in front of it as the cyclic prefix.
     const int nsym = numSymbols(payload.size());
     SampleSpan out = arena.alloc<Sample>(
         static_cast<size_t>(nsym) * OfdmGeometry::kSymbolLen);
 
     PilotTracker pilots;
     SampleSpan bins = arena.alloc<Sample>(OfdmGeometry::kFftSize);
-    const int n_bpsc = params.nBpsc;
+    std::fill(bins.begin(), bins.end(), Sample(0.0, 0.0));
+    const auto &data_bins = OfdmGeometry::dataBins();
+    const size_t n_bpsc = static_cast<size_t>(params.nBpsc);
+    const Bit *bits = interleaved.data();
     for (int s = 0; s < nsym; ++s) {
-        std::fill(bins.begin(), bins.end(), Sample(0.0, 0.0));
-        const size_t base = static_cast<size_t>(s) *
-                            static_cast<size_t>(params.nCbps);
-        for (int d = 0; d < OfdmGeometry::kDataCarriers; ++d) {
-            const Bit *bits =
-                &interleaved[base + static_cast<size_t>(d * n_bpsc)];
-            bins[static_cast<size_t>(OfdmGeometry::dataBin(d))] =
-                mapper.map(bits);
+        for (int bin : data_bins) {
+            bins[static_cast<size_t>(bin)] = mapper.map(bits);
+            bits += n_bpsc;
         }
         pilots.insertPilots(bins);
 
-        fft.inverse(bins);
-        addCyclicPrefix(bins,
-                        out.subspan(static_cast<size_t>(s) *
-                                        OfdmGeometry::kSymbolLen,
-                                    OfdmGeometry::kSymbolLen));
+        SampleSpan sym = out.subspan(
+            static_cast<size_t>(s) * OfdmGeometry::kSymbolLen,
+            OfdmGeometry::kSymbolLen);
+        fft.inverse(bins, sym.subspan(OfdmGeometry::kCpLen));
+        std::copy(sym.end() - OfdmGeometry::kCpLen, sym.end(),
+                  sym.begin());
     }
     return out;
 }

@@ -80,6 +80,8 @@ class OfdmTransmitter
   private:
     RateParams params;
     std::uint8_t seed;
+    /** Holds the seed's PRBS period; reset() rewinds it per frame. */
+    Scrambler scrambler;
     Interleaver interleaver;
     Mapper mapper;
     Puncturer puncturer;

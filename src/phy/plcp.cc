@@ -54,6 +54,7 @@ class StaticCsi : public channel::Channel
     {
         return h[0];
     }
+    bool frequencySelective() const override { return true; }
 
   private:
     SampleVec h;

@@ -1,35 +1,71 @@
 #include "phy/puncture.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace wilis {
 namespace phy {
 
 namespace {
-// Keep-patterns over the interleaved A/B rate-1/2 stream.
-const Bit pat_r12[2] = {1, 1};
-const Bit pat_r23[4] = {1, 1, 1, 0};
-const Bit pat_r34[6] = {1, 1, 1, 0, 0, 1};
+
+// Keep-patterns over the interleaved A/B rate-1/2 stream: bit j of
+// the mask is set if offset j of a period survives.
+constexpr std::uint8_t kMaskR12 = 0b11;
+constexpr std::uint8_t kMaskR23 = 0b0111;     // A1 B1 A2 (not B2)
+constexpr std::uint8_t kMaskR34 = 0b100111;   // A1 B1 A2 B3
+
+/** Puncture whole periods with the pattern unrolled at compile time. */
+template <size_t Period, std::uint8_t Mask>
+void
+punctureBlocks(const Bit *in, size_t n, Bit *out)
+{
+    for (size_t base = 0; base < n; base += Period) {
+#pragma GCC unroll 8
+        for (size_t j = 0; j < Period; ++j) {
+            if ((Mask >> j) & 1)
+                *out++ = in[base + j];
+        }
+    }
+}
+
+/** Inverse of punctureBlocks(): erasures (0) at dropped offsets. */
+template <size_t Period, std::uint8_t Mask>
+void
+depunctureBlocks(const SoftBit *in, size_t n, SoftBit *out)
+{
+    for (size_t base = 0; base < n; base += Period) {
+#pragma GCC unroll 8
+        for (size_t j = 0; j < Period; ++j)
+            out[base + j] = ((Mask >> j) & 1) ? *in++ : 0;
+    }
+}
+
 } // namespace
 
-void
-Puncturer::pattern(const Bit *&pat, size_t &period) const
+Puncturer::Puncturer(CodeRate rate_) : rate(rate_)
 {
+    std::uint8_t mask = 0;
     switch (rate) {
       case CodeRate::R12:
-        pat = pat_r12;
-        period = 2;
-        return;
+        mask = kMaskR12;
+        period_ = 2;
+        break;
       case CodeRate::R23:
-        pat = pat_r23;
-        period = 4;
-        return;
+        mask = kMaskR23;
+        period_ = 4;
+        break;
       case CodeRate::R34:
-        pat = pat_r34;
-        period = 6;
-        return;
+        mask = kMaskR34;
+        period_ = 6;
+        break;
     }
-    wilis_panic("bad code rate");
+    wilis_assert(period_ != 0, "bad code rate");
+    for (size_t j = 0; j < period_; ++j) {
+        keep_mask[j] = (mask >> j) & 1;
+        if (keep_mask[j])
+            keep_at[n_keep++] = static_cast<std::uint8_t>(j);
+    }
 }
 
 BitVec
@@ -43,19 +79,24 @@ Puncturer::puncture(const BitVec &coded) const
 void
 Puncturer::puncture(BitView coded, BitSpan out) const
 {
-    const Bit *pat;
-    size_t period;
-    pattern(pat, period);
-    wilis_assert(coded.size() % period == 0,
+    wilis_assert(coded.size() % period_ == 0,
                  "coded length %zu not a multiple of puncture period "
-                 "%zu", coded.size(), period);
+                 "%zu", coded.size(), period_);
     wilis_assert(out.size() == puncturedLength(coded.size()),
                  "puncture output span size %zu, expected %zu",
                  out.size(), puncturedLength(coded.size()));
-    size_t w = 0;
-    for (size_t i = 0; i < coded.size(); ++i) {
-        if (pat[i % period])
-            out[w++] = coded[i];
+    switch (rate) {
+      case CodeRate::R12:
+        std::copy(coded.begin(), coded.end(), out.begin());
+        return;
+      case CodeRate::R23:
+        punctureBlocks<4, kMaskR23>(coded.data(), coded.size(),
+                                    out.data());
+        return;
+      case CodeRate::R34:
+        punctureBlocks<6, kMaskR34>(coded.data(), coded.size(),
+                                    out.data());
+        return;
     }
 }
 
@@ -70,58 +111,42 @@ Puncturer::depuncture(const SoftVec &soft) const
 void
 Puncturer::depuncture(SoftView soft, SoftSpan out) const
 {
-    const Bit *pat;
-    size_t period;
-    pattern(pat, period);
-    size_t kept_per_period = 0;
-    for (size_t i = 0; i < period; ++i)
-        kept_per_period += pat[i];
-    wilis_assert(soft.size() % kept_per_period == 0,
+    wilis_assert(soft.size() % n_keep == 0,
                  "punctured length %zu not a multiple of %zu",
-                 soft.size(), kept_per_period);
+                 soft.size(), n_keep);
     wilis_assert(out.size() == unpuncturedLength(soft.size()),
                  "depuncture output span size %zu, expected %zu",
                  out.size(), unpuncturedLength(soft.size()));
-    size_t in = 0;
-    size_t w = 0;
-    while (in < soft.size()) {
-        for (size_t j = 0; j < period; ++j) {
-            if (pat[j]) {
-                out[w++] = soft[in];
-                ++in;
-            } else {
-                out[w++] = 0; // erasure: no channel information
-            }
-        }
+    // Erasures (soft value 0) carry no channel information.
+    switch (rate) {
+      case CodeRate::R12:
+        std::copy(soft.begin(), soft.end(), out.begin());
+        return;
+      case CodeRate::R23:
+        depunctureBlocks<4, kMaskR23>(soft.data(), out.size(),
+                                      out.data());
+        return;
+      case CodeRate::R34:
+        depunctureBlocks<6, kMaskR34>(soft.data(), out.size(),
+                                      out.data());
+        return;
     }
 }
 
 size_t
 Puncturer::puncturedLength(size_t coded_len) const
 {
-    const Bit *pat;
-    size_t period;
-    pattern(pat, period);
-    size_t kept = 0;
-    for (size_t i = 0; i < period; ++i)
-        kept += pat[i];
-    wilis_assert(coded_len % period == 0, "bad coded length %zu",
+    wilis_assert(coded_len % period_ == 0, "bad coded length %zu",
                  coded_len);
-    return coded_len / period * kept;
+    return coded_len / period_ * n_keep;
 }
 
 size_t
 Puncturer::unpuncturedLength(size_t punct_len) const
 {
-    const Bit *pat;
-    size_t period;
-    pattern(pat, period);
-    size_t kept = 0;
-    for (size_t i = 0; i < period; ++i)
-        kept += pat[i];
-    wilis_assert(punct_len % kept == 0, "bad punctured length %zu",
+    wilis_assert(punct_len % n_keep == 0, "bad punctured length %zu",
                  punct_len);
-    return punct_len / kept * period;
+    return punct_len / n_keep * period_;
 }
 
 } // namespace phy

@@ -9,21 +9,47 @@
 #ifndef WILIS_PHY_PUNCTURE_HH
 #define WILIS_PHY_PUNCTURE_HH
 
+#include <array>
+#include <cstdint>
+
 #include "common/types.hh"
 #include "phy/modulation.hh"
 
 namespace wilis {
 namespace phy {
 
-/** Puncturer/depuncturer for the 802.11a code-rate set. */
+/**
+ * Puncturer/depuncturer for the 802.11a code-rate set. The rate's
+ * keep-pattern over one puncturing period of the rate-1/2 output
+ * stream (A1 B1 A2 B2 ...) is precomputed as the list of kept
+ * offsets: R12 keeps both, R23 keeps A1 B1 A2 (drops B2), R34 keeps
+ * A1 B1 A2 B3 (drops B2 A3).
+ */
 class Puncturer
 {
   public:
     /** Build the puncturer for one code rate. */
-    explicit Puncturer(CodeRate rate_) : rate(rate_) {}
+    explicit Puncturer(CodeRate rate_);
 
     /** Code rate handled. */
     CodeRate codeRate() const { return rate; }
+
+    /** Rate-1/2 positions per puncturing period (2, 4 or 6). */
+    size_t period() const { return period_; }
+
+    /** True if rate-1/2 position @p i survives puncturing. */
+    bool
+    kept(size_t i) const
+    {
+        return keep_mask[i % period_] != 0;
+    }
+
+    /** Rate-1/2 stream position of punctured bit @p p. */
+    size_t
+    unpuncturedIndex(size_t p) const
+    {
+        return p / n_keep * period_ + keep_at[p % n_keep];
+    }
 
     /**
      * Remove punctured positions from rate-1/2 @p coded bits.
@@ -57,14 +83,14 @@ class Puncturer
     void depuncture(SoftView soft, SoftSpan out) const;
 
   private:
-    /**
-     * Keep-pattern over one puncturing period of the rate-1/2 output
-     * stream (A1 B1 A2 B2 ...): R23 keeps A1 B1 A2 (drops B2); R34
-     * keeps A1 B1 A2 B3 (drops B2 A3).
-     */
-    void pattern(const Bit *&pat, size_t &period) const;
-
     CodeRate rate;
+    size_t period_ = 0;
+    /** Kept positions per period. */
+    size_t n_keep = 0;
+    /** Offsets of the kept positions within a period, ascending. */
+    std::array<std::uint8_t, 6> keep_at{};
+    /** keep_mask[j] = 1 if offset j is kept. */
+    std::array<std::uint8_t, 6> keep_mask{};
 };
 
 } // namespace phy

@@ -11,6 +11,7 @@
 #ifndef WILIS_PHY_SCRAMBLER_HH
 #define WILIS_PHY_SCRAMBLER_HH
 
+#include <array>
 #include <cstdint>
 
 #include "common/types.hh"
@@ -18,18 +19,36 @@
 namespace wilis {
 namespace phy {
 
-/** Frame-synchronous PRBS scrambler/descrambler. */
+/**
+ * Frame-synchronous PRBS scrambler/descrambler. The x^7 + x^4 + 1
+ * register is maximal-length, so its output repeats every 127 bits:
+ * reset() steps the register once through that period into a table,
+ * and scrambling XORs the data against the table, a word at a time.
+ */
 class Scrambler
 {
   public:
+    /** Length of the PRBS period. */
+    static constexpr int kPeriod = 127;
+
     /** @param seed 7-bit nonzero initial state. */
     explicit Scrambler(std::uint8_t seed = 0x7F);
 
-    /** Reset to a new seed. */
+    /**
+     * Rewind to the first PRBS bit of @p seed. The period table is
+     * rebuilt only when the seed changes.
+     */
     void reset(std::uint8_t seed);
 
     /** Next PRBS bit (advances state). */
-    Bit nextPrbsBit();
+    Bit
+    nextPrbsBit()
+    {
+        const Bit b = prbs[static_cast<size_t>(pos)];
+        if (++pos == kPeriod)
+            pos = 0;
+        return b;
+    }
 
     /** Scramble (or descramble) one bit. */
     Bit process(Bit in) { return in ^ nextPrbsBit(); }
@@ -50,7 +69,14 @@ class Scrambler
     static void pilotPolarity(int out[127]);
 
   private:
-    std::uint8_t state;
+    /**
+     * prbs[i]: the i-th output bit after reset(seed), stored for two
+     * periods so any window of up to kPeriod bits is contiguous.
+     */
+    std::array<Bit, 2 * kPeriod> prbs{};
+    /** Seed the table was built for (0 = not built yet). */
+    std::uint8_t table_seed = 0;
+    int pos = 0;
 };
 
 } // namespace phy

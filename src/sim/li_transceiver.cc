@@ -10,6 +10,7 @@
 #include "phy/fft.hh"
 #include "phy/interleaver.hh"
 #include "phy/mapper.hh"
+#include "phy/ofdm_rx.hh"
 #include "phy/ofdm_symbol.hh"
 #include "phy/puncture.hh"
 #include "phy/scrambler.hh"
@@ -160,12 +161,7 @@ class PuncturerMod : public li::Module
                  phy::CodeRate rate, int lanes_)
         : li::Module("puncturer"), in(in_), out(out_), punct(rate),
           lanes(lanes_)
-    {
-        // Keep-pattern over the interleaved A/B stream, one period.
-        keep.resize(identityPeriod(rate));
-        for (size_t i = 0; i < keep.size(); ++i)
-            keep[i] = isKept(rate, i);
-    }
+    {}
 
     void reset() { pos = 0; }
 
@@ -177,17 +173,16 @@ class PuncturerMod : public li::Module
             if (!in->canDeq())
                 break;
             // Need room for up to two bits from this pair.
-            int needed = keep[pos % keep.size()] +
-                         keep[(pos + 1) % keep.size()];
+            int needed = punct.kept(pos) + punct.kept(pos + 1);
             if (out->capacity() - out->size() <
                 static_cast<size_t>(needed)) {
                 out->noteFullStall();
                 break;
             }
             std::uint8_t pair = in->deq();
-            if (keep[pos % keep.size()])
+            if (punct.kept(pos))
                 out->enq(static_cast<Bit>(pair & 1));
-            if (keep[(pos + 1) % keep.size()])
+            if (punct.kept(pos + 1))
                 out->enq(static_cast<Bit>((pair >> 1) & 1));
             pos += 2;
             busy = true;
@@ -196,43 +191,10 @@ class PuncturerMod : public li::Module
     }
 
   private:
-    static size_t
-    identityPeriod(phy::CodeRate rate)
-    {
-        switch (rate) {
-          case phy::CodeRate::R12:
-            return 2;
-          case phy::CodeRate::R23:
-            return 4;
-          case phy::CodeRate::R34:
-            return 6;
-        }
-        wilis_panic("bad rate");
-    }
-
-    static bool
-    isKept(phy::CodeRate rate, size_t i)
-    {
-        static const bool r12[2] = {true, true};
-        static const bool r23[4] = {true, true, true, false};
-        static const bool r34[6] = {true, true, true,
-                                    false, false, true};
-        switch (rate) {
-          case phy::CodeRate::R12:
-            return r12[i % 2];
-          case phy::CodeRate::R23:
-            return r23[i % 4];
-          case phy::CodeRate::R34:
-            return r34[i % 6];
-        }
-        wilis_panic("bad rate");
-    }
-
     Fifo<std::uint8_t> *in;
     Fifo<Bit> *out;
     phy::Puncturer punct;
     int lanes;
-    std::vector<bool> keep;
     size_t pos = 0;
 };
 
@@ -535,13 +497,8 @@ class EqualizerMod : public li::Module
             return false;
         SampleVec bins = in->deq();
         SampleVec data(phy::OfdmGeometry::kDataCarriers);
-        for (int d = 0; d < phy::OfdmGeometry::kDataCarriers; ++d) {
-            int bin = phy::OfdmGeometry::dataBin(d);
-            Sample h = chan ? chan->binGain(packet_index, symbol, bin)
-                            : Sample(1.0, 0.0);
-            data[static_cast<size_t>(d)] =
-                bins[static_cast<size_t>(bin)] / h;
-        }
+        phy::equalizeDataCarriers(bins, chan, packet_index, symbol,
+                                  data.data(), nullptr);
         ++symbol;
         out->enq(std::move(data));
         return true;

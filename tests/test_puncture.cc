@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/random.hh"
 #include "phy/puncture.hh"
 
@@ -116,5 +118,33 @@ TEST_P(PunctureRoundTrip, SurvivingPositionsRoundTrip)
         if (full[i] != 0) {
             EXPECT_EQ(full[i] > 0 ? 1 : 0, coded[i]) << "pos " << i;
         }
+    }
+}
+
+// The index map behind the receiver's fused deinterleave+depuncture
+// scatter: punctured bit p came from rate-1/2 position
+// unpuncturedIndex(p), which kept() reports as surviving, and every
+// other position is an erasure after depuncture.
+TEST_P(PunctureRoundTrip, UnpuncturedIndexMatchesPuncture)
+{
+    Puncturer p(GetParam());
+    SplitMix64 rng(12);
+    BitVec coded(288);
+    for (auto &b : coded)
+        b = rng.nextBit();
+    BitVec punct = p.puncture(coded);
+    std::vector<bool> hit(coded.size(), false);
+    for (size_t i = 0; i < punct.size(); ++i) {
+        const size_t src = p.unpuncturedIndex(i);
+        ASSERT_LT(src, coded.size());
+        EXPECT_TRUE(p.kept(src)) << "pos " << src;
+        EXPECT_EQ(punct[i], coded[src]) << "punctured bit " << i;
+        hit[src] = true;
+    }
+    SoftVec ones(punct.size(), 1);
+    SoftVec full = p.depuncture(ones);
+    for (size_t j = 0; j < coded.size(); ++j) {
+        EXPECT_EQ(hit[j], p.kept(j)) << "pos " << j;
+        EXPECT_EQ(full[j], hit[j] ? 1 : 0) << "pos " << j;
     }
 }

@@ -390,19 +390,3 @@ TEST(ScenarioSpec, SpecAndLegacyConfigBuildIdenticalTestbenches)
     }
 }
 
-TEST(ScenarioSpec, MeasureBerRoundTripsThroughTestbenchConfig)
-{
-    ScenarioSpec spec;
-    spec.rate = 4;
-    spec.channelCfg = li::Config::fromString("snr_db=6,seed=2");
-    spec.payloadBits = 500;
-
-    // Lowering to the legacy TestbenchConfig and lifting back must
-    // describe the same experiment (the migration path every former
-    // measureBer(TestbenchConfig) caller took).
-    ErrorStats via_spec = measureBer(spec, 20, 2);
-    ErrorStats via_cfg = measureBer(
-        ScenarioSpec::fromTestbench(spec.testbench(), 500), 20, 2);
-    EXPECT_EQ(via_spec.bits, via_cfg.bits);
-    EXPECT_EQ(via_spec.errors, via_cfg.errors);
-}

@@ -63,6 +63,33 @@ TEST(Scrambler, SelfInverse)
     }
 }
 
+// The stream form XORs against the stored PRBS period in words; it
+// must match the bit-at-a-time form across period boundaries, after
+// partial runs, and after reset() to another seed and back.
+TEST(Scrambler, StreamMatchesBitwiseAcrossPeriods)
+{
+    SplitMix64 rng(7);
+    BitVec data(1000);
+    for (auto &b : data)
+        b = rng.nextBit();
+    Scrambler stream(0x5D);
+    Scrambler bitwise(0x5D);
+    for (std::uint8_t seed : {0x5D, 0x01, 0x5D}) {
+        stream.reset(seed);
+        bitwise.reset(seed);
+        size_t at = 0;
+        for (size_t run : {1, 7, 126, 127, 128, 254, 357}) {
+            const BitView in(data.data() + at, run);
+            BitVec got(run);
+            stream.process(in, BitSpan(got));
+            for (size_t i = 0; i < run; ++i)
+                ASSERT_EQ(got[i], bitwise.process(in[i]))
+                    << "seed " << int(seed) << " bit " << at + i;
+            at += run;
+        }
+    }
+}
+
 TEST(Scrambler, DifferentSeedsDiffer)
 {
     BitVec zeros(64, 0);

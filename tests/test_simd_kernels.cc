@@ -3,7 +3,7 @@
  * Kernel-dispatch test suite: every SIMD backend available on the
  * host must be BIT-EXACT with the scalar reference on randomized
  * inputs for each kernel in the table (demapper LLRs, forward ACS,
- * the whole-frame max-log BCJR, metric normalization,
+ * the whole-frame max-log BCJR, metric normalization, the FFT,
  * channel complex scale and noise injection, and the prototype i16
  * saturating ACS), and forcing the scalar backend must reproduce the
  * full-pipeline results of the widest backend on a rate x channel
@@ -22,6 +22,7 @@
 #include "common/random.hh"
 #include "decode/trellis_kernels.hh"
 #include "phy/demapper.hh"
+#include "phy/fft.hh"
 #include "phy/modulation.hh"
 #include "sim/link_fidelity.hh"
 #include "sim/multicell_detail.hh"
@@ -369,6 +370,34 @@ TEST_F(SimdKernelTest, ChannelKernelsMatchScalar)
         ASSERT_EQ(0, std::memcmp(noisy.data(), noisy_ref.data(),
                                  n * sizeof(Sample)))
             << kernels::backendName(b);
+    }
+}
+
+TEST_F(SimdKernelTest, FftMatchesScalar)
+{
+    SplitMix64 rng(0xFF7);
+    // Sizes below, at and above two vectors of every backend, so
+    // the narrow-stage regrouping and the scalar fallback both run.
+    for (int n : {2, 4, 8, 16, 64, 128}) {
+        const phy::Fft fft(n);
+        SampleVec x(static_cast<size_t>(n));
+        for (auto &v : x)
+            v = Sample(rng.nextDouble() * 2.0 - 1.0,
+                       rng.nextDouble() * 2.0 - 1.0);
+        for (bool inverse : {false, true}) {
+            tableOf(Backend::Scalar);
+            SampleVec want = x;
+            inverse ? fft.inverse(want) : fft.forward(want);
+            for (Backend b : vectorBackends()) {
+                tableOf(b);
+                SampleVec got = x;
+                inverse ? fft.inverse(got) : fft.forward(got);
+                ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                         want.size() * sizeof(Sample)))
+                    << kernels::backendName(b) << " n=" << n
+                    << " inverse " << inverse;
+            }
+        }
     }
 }
 
