@@ -10,41 +10,23 @@ namespace phy {
 SampleVec
 addCyclicPrefix(const SampleVec &body)
 {
-    SampleVec out(OfdmGeometry::kSymbolLen);
-    addCyclicPrefix(SampleView(body), SampleSpan(out));
-    return out;
-}
-
-void
-addCyclicPrefix(SampleView body, SampleSpan out)
-{
     wilis_assert(body.size() == OfdmGeometry::kFftSize,
                  "symbol body size %zu", body.size());
-    wilis_assert(out.size() == OfdmGeometry::kSymbolLen,
-                 "CP output size %zu", out.size());
+    SampleVec out(OfdmGeometry::kSymbolLen);
     std::copy(body.end() - OfdmGeometry::kCpLen, body.end(),
               out.begin());
     std::copy(body.begin(), body.end(),
               out.begin() + OfdmGeometry::kCpLen);
+    return out;
 }
 
 SampleVec
 removeCyclicPrefix(const SampleVec &symbol)
 {
-    SampleVec out(OfdmGeometry::kFftSize);
-    removeCyclicPrefix(SampleView(symbol), SampleSpan(out));
-    return out;
-}
-
-void
-removeCyclicPrefix(SampleView symbol, SampleSpan out)
-{
     wilis_assert(symbol.size() == OfdmGeometry::kSymbolLen,
                  "symbol size %zu", symbol.size());
-    wilis_assert(out.size() == OfdmGeometry::kFftSize,
-                 "CP-strip output size %zu", out.size());
-    std::copy(symbol.begin() + OfdmGeometry::kCpLen, symbol.end(),
-              out.begin());
+    return SampleVec(symbol.begin() + OfdmGeometry::kCpLen,
+                     symbol.end());
 }
 
 } // namespace phy

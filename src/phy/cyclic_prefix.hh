@@ -19,12 +19,6 @@ SampleVec addCyclicPrefix(const SampleVec &body);
 /** Strip the cyclic prefix from one 80-sample symbol. */
 SampleVec removeCyclicPrefix(const SampleVec &symbol);
 
-/** Write CP + body (80 samples) into caller-owned @p out. */
-void addCyclicPrefix(SampleView body, SampleSpan out);
-
-/** Write the 64-sample body of @p symbol into caller-owned @p out. */
-void removeCyclicPrefix(SampleView symbol, SampleSpan out);
-
 } // namespace phy
 } // namespace wilis
 

@@ -90,31 +90,5 @@ Interleaver::interleaveStream(BitView in, BitSpan out) const
     }
 }
 
-SoftVec
-Interleaver::deinterleaveStream(const SoftVec &in) const
-{
-    SoftVec out(in.size());
-    deinterleaveStream(SoftView(in), SoftSpan(out));
-    return out;
-}
-
-void
-Interleaver::deinterleaveStream(SoftView in, SoftSpan out) const
-{
-    wilis_assert(in.size() % static_cast<size_t>(n_cbps) == 0,
-                 "stream length %zu not a multiple of N_CBPS %d",
-                 in.size(), n_cbps);
-    wilis_assert(out.size() == in.size(),
-                 "deinterleave output span size %zu", out.size());
-    for (size_t base = 0; base < in.size();
-         base += static_cast<size_t>(n_cbps)) {
-        for (int j = 0; j < n_cbps; ++j) {
-            out[base + static_cast<size_t>(
-                           inv[static_cast<size_t>(j)])] =
-                in[base + static_cast<size_t>(j)];
-        }
-    }
-}
-
 } // namespace phy
 } // namespace wilis

@@ -40,17 +40,11 @@ class Interleaver
      */
     BitVec interleaveStream(const BitVec &in) const;
 
-    /** Deinterleave a whole soft stream. */
-    SoftVec deinterleaveStream(const SoftVec &in) const;
-
     /** Interleave a stream into caller-owned storage (same length). */
     void interleaveStream(BitView in, BitSpan out) const;
 
     /** Deinterleave one block into caller-owned storage. */
     void deinterleave(SoftView in, SoftSpan out) const;
-
-    /** Deinterleave a stream into caller-owned storage. */
-    void deinterleaveStream(SoftView in, SoftSpan out) const;
 
     /** Position bit k moves to after interleaving. */
     int

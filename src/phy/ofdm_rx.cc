@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "phy/conv_code.hh"
+#include "phy/interleaver.hh"
 
 namespace wilis {
 namespace phy {

@@ -3,8 +3,8 @@
  * Composed 802.11a/g OFDM receiver kernel: cyclic prefix removal ->
  * FFT -> equalization (perfect CSI) -> soft demapper ->
  * deinterleaver + depuncturer (one scatter) -> pluggable soft
- * decoder -> descrambler (the RX half of Figure 1). The decoder slot is
- * resolved through the plug-n-play registry, so a receiver can be
+ * decoder -> descrambler (the RX half of Figure 1). The decoder slot
+ * is resolved through the plug-n-play registry, so a receiver can be
  * built with "viterbi", "sova", "bcjr" or "bcjr-logmap" without any
  * source change.
  */
@@ -23,7 +23,6 @@
 #include "decode/soft_decoder.hh"
 #include "phy/demapper.hh"
 #include "phy/fft.hh"
-#include "phy/interleaver.hh"
 #include "phy/modulation.hh"
 #include "phy/ofdm_symbol.hh"
 #include "phy/puncture.hh"
@@ -153,7 +152,7 @@ class OfdmReceiver
      * slice of the rate-1/2 stream (sym_half values long).
      */
     std::vector<std::int32_t> rx_scatter;
-    size_t sym_half;
+    size_t sym_half = 0;
     std::unique_ptr<decode::SoftDecoder> dec;
     /** Backs the legacy vector-returning demodulate(). */
     FrameArena legacy_arena;

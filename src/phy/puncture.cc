@@ -45,25 +45,23 @@ depunctureBlocks(const SoftBit *in, size_t n, SoftBit *out)
 
 Puncturer::Puncturer(CodeRate rate_) : rate(rate_)
 {
-    std::uint8_t mask = 0;
     switch (rate) {
       case CodeRate::R12:
-        mask = kMaskR12;
+        keep_mask = kMaskR12;
         period_ = 2;
         break;
       case CodeRate::R23:
-        mask = kMaskR23;
+        keep_mask = kMaskR23;
         period_ = 4;
         break;
       case CodeRate::R34:
-        mask = kMaskR34;
+        keep_mask = kMaskR34;
         period_ = 6;
         break;
     }
     wilis_assert(period_ != 0, "bad code rate");
     for (size_t j = 0; j < period_; ++j) {
-        keep_mask[j] = (mask >> j) & 1;
-        if (keep_mask[j])
+        if (kept(j))
             keep_at[n_keep++] = static_cast<std::uint8_t>(j);
     }
 }

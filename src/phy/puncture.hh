@@ -34,14 +34,11 @@ class Puncturer
     /** Code rate handled. */
     CodeRate codeRate() const { return rate; }
 
-    /** Rate-1/2 positions per puncturing period (2, 4 or 6). */
-    size_t period() const { return period_; }
-
     /** True if rate-1/2 position @p i survives puncturing. */
     bool
     kept(size_t i) const
     {
-        return keep_mask[i % period_] != 0;
+        return (keep_mask >> (i % period_)) & 1;
     }
 
     /** Rate-1/2 stream position of punctured bit @p p. */
@@ -84,13 +81,14 @@ class Puncturer
 
   private:
     CodeRate rate;
+    /** Rate-1/2 positions per puncturing period (2, 4 or 6). */
     size_t period_ = 0;
+    /** Bit j set: offset j of a period is kept. */
+    std::uint8_t keep_mask = 0;
     /** Kept positions per period. */
     size_t n_keep = 0;
     /** Offsets of the kept positions within a period, ascending. */
     std::array<std::uint8_t, 6> keep_at{};
-    /** keep_mask[j] = 1 if offset j is kept. */
-    std::array<std::uint8_t, 6> keep_mask{};
 };
 
 } // namespace phy
