@@ -17,14 +17,14 @@
 #include <vector>
 
 #include "common/kernels.hh"
-#include "common/snapshot.hh"
-#include "mac/packet_trace.hh"
-#include "sim/multicell_detail.hh"
+#include "golden_hash.hh"
 #include "sim/multicell_sim.hh"
 #include "sim/network_sim.hh"
 
 using namespace wilis;
 using namespace wilis::sim;
+using golden::statsHash;
+using golden::traceHash;
 
 namespace {
 
@@ -33,41 +33,6 @@ calibrationPath()
 {
     return std::string(WILIS_SOURCE_DIR) +
            "/data/network_calibration.txt";
-}
-
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
-
-/** FNV-1a over @p bytes, chained through @p h. */
-std::uint64_t
-fnv1a(std::uint64_t h, const std::string &bytes)
-{
-    for (unsigned char c : bytes) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-/**
- * FNV-1a over the checkpoint serialization of every user's
- * UserStats in id order, then the aggregate's: every counter,
- * every raw moment accumulator and every histogram bin.
- */
-std::uint64_t
-statsHash(const NetworkResult &r)
-{
-    SnapshotWriter w(1, "golden");
-    for (const UserStats &u : r.users)
-        sim::detail::saveUserStats(w, u);
-    sim::detail::saveUserStats(w, r.aggregate);
-    return fnv1a(kFnvBasis, w.bytes());
-}
-
-/** FNV-1a over the finalized trace text (0 when untraced). */
-std::uint64_t
-traceHash(const NetworkResult &r)
-{
-    return r.trace ? fnv1a(kFnvBasis, r.trace->toText()) : 0;
 }
 
 /** Forces the scalar kernel backend for one scope. */

@@ -4,15 +4,19 @@
  * replayable and Doppler-parameterized, NetworkSpec round-trips
  * through li::Config, and -- the acceptance bar -- a 16-user sweep
  * is bit-identical at 1, 2 and 8 worker threads with per-user
- * goodput/latency statistics exposed.
+ * goodput/latency statistics exposed, and every rung of the fidelity
+ * ladder reproduces its golden per-user statistics and trace hashes.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
+#include <string>
+#include <vector>
 
 #include "channel/fading.hh"
+#include "golden_hash.hh"
 #include "sim/network_sim.hh"
 
 using namespace wilis;
@@ -285,4 +289,61 @@ TEST(NetworkSim, RateAdaptationReactsToTheSnrSpread)
     for (int b = 0; b < r.aggregate.rateHist.numBins(); ++b)
         rates_used += r.aggregate.rateHist.count(b) > 0 ? 1 : 0;
     EXPECT_GT(rates_used, 1);
+}
+
+// ------------------------------------------------ golden pins
+
+namespace {
+
+struct SingleCellGolden {
+    const char *name;
+    NetworkSpec spec;
+    std::uint64_t slots;
+    std::uint64_t stats;
+    std::uint64_t trace; // 0 = untraced
+};
+
+std::vector<SingleCellGolden>
+singleCellGoldenCases()
+{
+    const std::string table =
+        std::string(WILIS_SOURCE_DIR) + "/data/network_calibration.txt";
+    NetworkSpec cell16 = networkPreset("cell-16");
+    NetworkSpec mixed = networkPreset("cell-auto");
+    mixed.calibrationFile = table;
+    NetworkSpec dense = networkPreset("dense-analytic");
+    dense.calibrationFile = table;
+    NetworkSpec stopwait = networkPreset("cell-stopwait");
+    stopwait.trace = true;
+    return {
+        {"cell-16 full", cell16, 30, 0x9e05d2233b618e4full, 0},
+        {"cell-auto", mixed, 100, 0xde01905eb92d9e7eull, 0},
+        {"dense-analytic", dense, 200, 0xadd5fa17a75acaf1ull, 0},
+        {"cell-stopwait traced", stopwait, 30, 0x3563ec6c5ea990c8ull,
+         0xabe342b2ff698d35ull},
+    };
+}
+
+} // namespace
+
+/**
+ * Golden pins of the single-cell slot loop, one case per rung of the
+ * fidelity ladder (full, auto, analytic with Bernoulli arrivals) plus
+ * a traced stop-and-wait run: per-user statistics and the packet
+ * trace, hashed, at 1, 2 and 8 worker threads.
+ */
+TEST(NetworkSim, GoldenSingleCellPins)
+{
+    for (const SingleCellGolden &c : singleCellGoldenCases()) {
+        NetworkSim sim(c.spec);
+        for (int threads : {1, 2, 8}) {
+            SCOPED_TRACE(std::string(c.name) + " @ " +
+                         std::to_string(threads));
+            const NetworkResult r = sim.run(c.slots, threads);
+            EXPECT_EQ(golden::statsHash(r), c.stats)
+                << std::hex << "stats 0x" << golden::statsHash(r);
+            EXPECT_EQ(golden::traceHash(r), c.trace)
+                << std::hex << "trace 0x" << golden::traceHash(r);
+        }
+    }
 }
