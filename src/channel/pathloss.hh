@@ -9,8 +9,8 @@
  * quantity the simulator needs is the mean SNR a transmitter
  * produces at a receiver -- the SNR at a reference distance minus
  * the log-distance pathloss plus a zero-mean shadowing term. That
- * is exactly the form the effective-SNR hook of the fidelity ladder
- * consumes (sim::AnalyticLink), so interference-aware SINR folds
+ * is exactly the form the analytic rung of the fidelity ladder
+ * consumes (sim/link_fidelity.hh), so interference-aware SINR folds
  * into the calibrated analytic rung without touching the tables.
  *
  * Shadowing is *static per link*: one deterministic Gaussian draw

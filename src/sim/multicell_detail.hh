@@ -1,11 +1,13 @@
 /**
  * @file
- * Per-user bookkeeping helpers of the slot engines: statistics
- * recording, packet-trace plumbing, UserStats serialization and the
- * scalar interference fade (the readable twin of the sinrAccumBatch
- * kernel). Internal to the sim module; the multi-cell engine
- * (multicell_sim.cc) and the single-cell loop (network_sim.cc) both
- * use it.
+ * Per-user bookkeeping helpers of the slot loops: the SoftRate/ARQ
+ * configuration, frame and delivery recording, the horizon ACK
+ * drain, result finishing (trace finalize, end-to-end latency, the
+ * user-order aggregate), packet-trace plumbing, UserStats
+ * serialization and the scalar interference fade (the readable twin
+ * of the sinrAccumBatch kernel). Internal to the sim module; the
+ * multi-cell engine (multicell_sim.cc) and the single-cell loop
+ * (network_sim.cc) both use it, so each step is written once.
  *
  * Concurrency discipline for everything in this header: all state
  * (TraceCtx, per-user stats, the seq ring) is *barrier-phase
@@ -25,6 +27,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/random.hh"
@@ -34,6 +37,8 @@
 #include "mac/scheduler.hh"
 #include "mac/softrate.hh"
 #include "mac/traffic.hh"
+#include "phy/modulation.hh"
+#include "sim/link_fidelity.hh"
 #include "sim/mobility.hh"
 #include "sim/network_sim.hh"
 
@@ -57,6 +62,29 @@ interferenceFade(const CounterRng &stream, std::uint64_t counter)
     if (u < 1e-300)
         u = 1e-300;
     return -std::log(u);
+}
+
+/** SoftRate configuration of every user of @p spec. */
+inline mac::SoftRateMac::Config
+softRateConfig(const NetworkSpec &spec)
+{
+    mac::SoftRateMac::Config c;
+    c.pberLo = spec.pberLo;
+    c.pberHi = spec.pberHi;
+    c.initialRate = spec.link.rate;
+    return c;
+}
+
+/** ARQ configuration of every user of @p spec. */
+inline mac::Arq::Config
+arqConfig(const NetworkSpec &spec)
+{
+    mac::Arq::Config c;
+    c.mode = spec.arqMode;
+    c.window = spec.arqWindow;
+    c.maxAttempts = spec.arqMaxAttempts;
+    c.ackDelaySlots = spec.ackDelaySlots;
+    return c;
 }
 
 /**
@@ -243,6 +271,77 @@ recordDelivery(UserStats &st, const mac::Arq::Delivery &d,
         st.goodputBitsPreHo += payload_bits;
     st.latencySlots.add(static_cast<double>(d.latencySlots));
     st.latencyHist.add(static_cast<double>(d.latencySlots));
+}
+
+/**
+ * Record the outcome @p res of ARQ seq @p seq sent at slot @p t and
+ * rate @p rate -- by the full-PHY rung if @p full_phy, else by the
+ * analytic one: the frame counters and rate histogram, the trace's
+ * Tx event, then SoftRate's feedback and ARQ's send result.
+ */
+inline void
+recordFrame(UserStats &st, TraceCtx &tc, mac::SoftRateMac &softrate,
+            mac::Arq &arq, std::uint64_t t, std::uint64_t seq,
+            phy::RateIndex rate, const LinkFrameResult &res,
+            bool full_phy)
+{
+    ++st.framesSent;
+    st.framesOk += res.ok ? 1 : 0;
+    if (full_phy)
+        ++st.fullPhyFrames;
+    else
+        ++st.analyticFrames;
+    st.rateHist.add(static_cast<double>(rate));
+    recordTx(tc, t, seq, res.ok, static_cast<int>(rate));
+    softrate.onFeedback(res.pber);
+    arq.onSendResult(seq, res.ok);
+}
+
+/**
+ * Drain acknowledgements still in flight at the @p slots horizon so
+ * their deliveries are counted (no new transmissions): ARQ ticks at
+ * slots .. slots + ackDelaySlots, @p tail being the scratch list.
+ */
+inline void
+drainAcks(mac::Arq &arq, UserStats &st, const NetworkSpec &spec,
+          std::uint64_t slots, TraceCtx &tc, bool post_ho,
+          std::vector<mac::Arq::Delivery> &tail)
+{
+    for (std::uint64_t t = slots; t <= slots + spec.ackDelaySlots;
+         ++t) {
+        tail.clear();
+        arq.tick(t, tail);
+        for (const auto &d : tail)
+            recordDelivery(st, d, spec.link.payloadBits, t, tc,
+                           post_ho);
+    }
+}
+
+/**
+ * Finish @p res once res.users holds every user in id order:
+ * finalize @p trace (if any) into the canonical order and fill each
+ * user's end-to-end latency histogram from its Ack events in that
+ * order, then merge the aggregate in user order -- a fixed merge
+ * sequence, so the merged floating-point statistics are
+ * deterministic too.
+ */
+inline void
+finishResult(NetworkResult &res,
+             const std::shared_ptr<mac::PacketTrace> &trace)
+{
+    if (trace) {
+        trace->finalize();
+        for (const mac::PacketTrace::Entry &e : trace->entries()) {
+            if (e.event == mac::PacketEvent::Ack)
+                res.users[static_cast<size_t>(e.user)]
+                    .e2eLatencyHist.add(static_cast<double>(e.arg1));
+        }
+        res.trace = trace;
+    }
+    res.aggregate = UserStats();
+    res.aggregate.user = -1;
+    for (const UserStats &u : res.users)
+        res.aggregate.merge(u);
 }
 
 /**

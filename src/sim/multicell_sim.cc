@@ -51,9 +51,9 @@ namespace sim {
 
 using detail::notePop;
 using detail::recordDelivery;
+using detail::recordFrame;
 using detail::recordGrant;
 using detail::recordMobilityEvent;
-using detail::recordTx;
 
 /** See the declaration in multicell_sim.hh. */
 struct McSoaCache {
@@ -433,15 +433,8 @@ runMulticellNetwork(
 
     // ---- mutable per-user state, soa-indexed -------------------
     const size_t nu = static_cast<size_t>(num_users);
-    mac::SoftRateMac::Config src;
-    src.pberLo = spec.pberLo;
-    src.pberHi = spec.pberHi;
-    src.initialRate = spec.link.rate;
-    mac::Arq::Config ac;
-    ac.mode = spec.arqMode;
-    ac.window = spec.arqWindow;
-    ac.maxAttempts = spec.arqMaxAttempts;
-    ac.ackDelaySlots = spec.ackDelaySlots;
+    const mac::SoftRateMac::Config src = detail::softRateConfig(spec);
+    const mac::Arq::Config ac = detail::arqConfig(spec);
 
     McState state;
     std::vector<mac::Arq> &arqs = state.arqs;
@@ -743,38 +736,15 @@ runMulticellNetwork(
                     awgn[g]->setSnrDb(sinr_db);
                 const std::uint64_t seq =
                     granted_seq[static_cast<size_t>(sc.cell[j])];
-                std::unique_ptr<WorkerPhy> phy =
-                    phy_pool.acquire();
-                phy->arena.reset();
-                BitSpan payload =
-                    phy->arena.alloc<Bit>(payload_bits);
-                fillDeterministicBits(payload,
-                                      cache.payloadSeed[g], seq);
-                FrameContext ctx(phy->arena);
-                SampleSpan samples =
-                    phy->txAt(rate, spec.link.rx)
-                        .modulate(payload, ctx);
-                awgn[g]->apply(samples, t);
-                phy::RxFrame rx_frame =
-                    phy->rxAt(rate, spec.link.rx)
-                        .demodulate(samples, payload_bits,
-                                    awgn[g].get(), t, ctx);
-                const bool ok =
-                    rx_frame.bitErrors(payload) == 0;
-                const double pber = estimator.packetBerForRate(
-                    rate, rx_frame.soft);
+                std::unique_ptr<WorkerPhy> phy = phy_pool.acquire();
+                const LinkFrameResult frame = phy->fullPhyFrame(
+                    rate, spec.link.rx, payload_bits,
+                    cache.payloadSeed[g], seq, *awgn[g], t,
+                    estimator);
                 phy_pool.release(std::move(phy));
-
-                UserStats &st = stats[g];
-                ++st.framesSent;
-                st.framesOk += ok ? 1 : 0;
-                ++st.fullPhyFrames;
-                st.rateHist.add(static_cast<double>(rate));
-                st.sinrDb.add(sinr_db);
-                recordTx(tctx[g], t, seq, ok,
-                         static_cast<int>(rate));
-                softrate[g].onFeedback(pber);
-                arqs[g].onSendResult(seq, ok);
+                stats[g].sinrDb.add(sinr_db);
+                recordFrame(stats[g], tctx[g], softrate[g], arqs[g], t,
+                            seq, rate, frame, true);
             }
             return;
         }
@@ -786,19 +756,12 @@ runMulticellNetwork(
                          k, sc.ok.data(), sc.pber.data());
         for (size_t j = 0; j < k; ++j) {
             const size_t g = static_cast<size_t>(sc.gi[j]);
-            UserStats &st = stats[g];
-            ++st.framesSent;
-            st.framesOk += sc.ok[j] ? 1 : 0;
-            ++st.analyticFrames;
-            st.rateHist.add(static_cast<double>(sc.rates[j]));
-            st.sinrDb.add(sc.sinr_db[j]);
-            recordTx(tctx[g], t,
-                     granted_seq[static_cast<size_t>(sc.cell[j])],
-                     sc.ok[j] != 0, static_cast<int>(sc.rates[j]));
-            softrate[g].onFeedback(sc.pber[j]);
-            arqs[g].onSendResult(
-                granted_seq[static_cast<size_t>(sc.cell[j])],
-                sc.ok[j] != 0);
+            stats[g].sinrDb.add(sc.sinr_db[j]);
+            recordFrame(stats[g], tctx[g], softrate[g], arqs[g], t,
+                        granted_seq[static_cast<size_t>(sc.cell[j])],
+                        static_cast<phy::RateIndex>(sc.rates[j]),
+                        LinkFrameResult{sc.ok[j] != 0, sc.pber[j]},
+                        false);
         }
     };
 
@@ -959,24 +922,19 @@ runMulticellNetwork(
     });
 
     // Per user, in id order: drain acknowledgements still in
-    // flight at the horizon so their deliveries are counted (no new
-    // transmissions), then the run-level counters. Under mobility
-    // the final serving cell replaces the drop-time association and
-    // the first-handover slot splits the run into the before/after
-    // throughput windows.
+    // flight at the horizon, then the run-level counters. Under
+    // mobility the final serving cell replaces the drop-time
+    // association and the first-handover slot splits the run into
+    // the before/after throughput windows.
     std::vector<mac::Arq::Delivery> tail;
+    res.users.resize(nu);
     for (int id = 0; id < num_users; ++id) {
         const size_t i = static_cast<size_t>(
             cache.soaOf[static_cast<size_t>(id)]);
         UserStats &st = stats[i];
-        for (std::uint64_t t = slots;
-             t <= slots + spec.ackDelaySlots; ++t) {
-            tail.clear();
-            arqs[i].tick(t, tail);
-            for (const auto &d : tail)
-                recordDelivery(st, d, payload_bits, t, tctx[i],
-                               post_ho(static_cast<std::uint32_t>(i)));
-        }
+        detail::drainAcks(arqs[i], st, spec, slots, tctx[i],
+                          post_ho(static_cast<std::uint32_t>(i)),
+                          tail);
         st.retransmissions = arqs[i].retransmissions();
         st.arrivals = traffic[i].arrivals();
         st.queueDrops = traffic[i].drops();
@@ -992,31 +950,10 @@ runMulticellNetwork(
             st.preHoSlots = slots;
         }
         st.postHoSlots = slots - st.preHoSlots;
+        res.users[static_cast<size_t>(id)] = st;
     }
 
-    if (trace) {
-        trace->finalize();
-        // End-to-end latency (arrival -> in-order delivery) from
-        // the Ack events, in canonical trace order.
-        for (const mac::PacketTrace::Entry &e : trace->entries()) {
-            if (e.event == mac::PacketEvent::Ack)
-                stats[static_cast<size_t>(
-                          cache.soaOf[static_cast<size_t>(e.user)])]
-                    .e2eLatencyHist.add(static_cast<double>(e.arg1));
-        }
-        res.trace = trace;
-    }
-
-    res.users.resize(nu);
-    for (int id = 0; id < num_users; ++id)
-        res.users[static_cast<size_t>(id)] =
-            stats[static_cast<size_t>(
-                cache.soaOf[static_cast<size_t>(id)])];
-
-    res.aggregate = UserStats();
-    res.aggregate.user = -1;
-    for (const UserStats &u : res.users)
-        res.aggregate.merge(u);
+    detail::finishResult(res, trace);
     return res;
 }
 

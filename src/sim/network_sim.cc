@@ -2,20 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <complex>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <thread>
 
 #include "channel/fading.hh"
-#include "common/frame_arena.hh"
 #include "common/kernels.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/thread_pool.hh"
 #include "mac/arq.hh"
 #include "mac/softrate.hh"
-#include "phy/ofdm_rx.hh"
-#include "phy/ofdm_tx.hh"
 #include "sim/link_fidelity.hh"
 #include "sim/multicell_detail.hh"
 #include "sim/multicell_sim.hh"
@@ -56,93 +54,6 @@ UserStats::merge(const UserStats &other)
     queueWaitHist.merge(other.queueWaitHist);
     e2eLatencyHist.merge(other.e2eLatencyHist);
 }
-
-namespace {
-
-/**
- * The bit-exact fidelity backend: the original NetworkSim frame
- * transaction (tx -> channel -> rx -> decode) behind the
- * LinkFidelity interface. Borrows the leased worker PHY context and
- * the user's channel for the duration of one user timeline.
- */
-class FullPhyLink : public LinkFidelity
-{
-  public:
-    FullPhyLink(WorkerPhy &phy, const ScenarioSpec &link,
-                channel::Channel &chan,
-                const softphy::BerEstimator &estimator,
-                std::uint64_t payload_seed)
-        : phy_(phy), link_(link), chan_(chan), est_(estimator),
-          payload_seed_(payload_seed)
-    {}
-
-    LinkFrameResult
-    transmit(phy::RateIndex rate, std::uint64_t seq,
-             std::uint64_t t) override
-    {
-        phy_.arena.reset();
-        BitSpan payload = phy_.arena.alloc<Bit>(link_.payloadBits);
-        // Same derivation as Testbench::makePayloadInto, keyed by
-        // sequence number so a retransmission resends the same bits.
-        fillDeterministicBits(payload, payload_seed_, seq);
-
-        FrameContext ctx(phy_.arena);
-        SampleSpan samples =
-            phy_.txAt(rate, link_.rx).modulate(payload, ctx);
-        chan_.apply(samples, t);
-        phy::RxFrame rx_frame =
-            phy_.rxAt(rate, link_.rx)
-                .demodulate(samples, link_.payloadBits, &chan_, t,
-                            ctx);
-
-        LinkFrameResult res;
-        res.ok = rx_frame.bitErrors(payload) == 0;
-        res.pber = est_.packetBerForRate(rate, rx_frame.soft);
-        res.fullPhy = true;
-        return res;
-    }
-
-    const char *name() const override { return "full"; }
-
-  private:
-    WorkerPhy &phy_;
-    const ScenarioSpec &link_;
-    channel::Channel &chan_;
-    const softphy::BerEstimator &est_;
-    std::uint64_t payload_seed_;
-};
-
-/**
- * The mixed-fidelity backend: full PHY on the policy's warm-up and
- * refresh slots, calibrated analytic in between. The schedule is a
- * pure function of the slot index (FidelityPolicy::fullPhySlot), so
- * it cannot depend on sharding.
- */
-class AutoLink : public LinkFidelity
-{
-  public:
-    AutoLink(const FidelityPolicy &policy, FullPhyLink &full,
-             AnalyticLink &fast)
-        : policy_(policy), full_(full), fast_(fast)
-    {}
-
-    LinkFrameResult
-    transmit(phy::RateIndex rate, std::uint64_t seq,
-             std::uint64_t t) override
-    {
-        return policy_.fullPhySlot(t) ? full_.transmit(rate, seq, t)
-                                      : fast_.transmit(rate, seq, t);
-    }
-
-    const char *name() const override { return "auto"; }
-
-  private:
-    const FidelityPolicy &policy_;
-    FullPhyLink &full_;
-    AnalyticLink &fast_;
-};
-
-} // namespace
 
 NetworkSim::NetworkSim(const NetworkSpec &spec)
     : NetworkSim(spec, nullptr)
@@ -339,8 +250,9 @@ NetworkSim::run(std::uint64_t slots, int threads)
     res.users.resize(static_cast<size_t>(spec_.numUsers));
 
     WorkerPhyPool phy_pool;
-    const size_t payload_bits = spec_.link.payloadBits;
     const bool bernoulli = spec_.arrivalModel == "bernoulli";
+    const mac::SoftRateMac::Config src = detail::softRateConfig(spec_);
+    const mac::Arq::Config ac = detail::arqConfig(spec_);
 
     // One trace shard per user: each worker records into its own
     // lane, finalize() sorts into the canonical order, so the trace
@@ -366,47 +278,11 @@ NetworkSim::run(std::uint64_t slots, int threads)
             mean_snr_db, spec_.dopplerHz, spec_.frameIntervalUs,
             seeds.channelSeed);
         const CounterRng arrivals(seeds.arrivalStream);
-
-        // The fidelity ladder: both backends are constructed (they
-        // are cheap shells over borrowed state) and the policy picks
-        // which one -- or, under "auto", which mix -- simulates this
-        // user's slots.
-        FullPhyLink full_link(*phy, spec_.link, chan, estimator,
-                              seeds.payloadSeed);
-        std::unique_ptr<AnalyticLink> fast_link;
+        std::optional<AnalyticLink> fast;
         if (spec_.fidelity.mode != FidelityMode::Full)
-            fast_link = std::make_unique<AnalyticLink>(
-                calib.get(), &chan, mean_snr_db,
-                seeds.fidelityStream);
-        std::unique_ptr<AutoLink> auto_link;
-        if (spec_.fidelity.mode == FidelityMode::Auto)
-            auto_link = std::make_unique<AutoLink>(
-                spec_.fidelity, full_link, *fast_link);
-        LinkFidelity *link = nullptr;
-        switch (spec_.fidelity.mode) {
-          case FidelityMode::Full:
-            link = &full_link;
-            break;
-          case FidelityMode::Analytic:
-            link = fast_link.get();
-            break;
-          case FidelityMode::Auto:
-            link = auto_link.get();
-            break;
-        }
-        wilis_assert(link != nullptr, "no fidelity backend selected");
+            fast.emplace(calib.get(), seeds.fidelityStream);
 
-        mac::SoftRateMac::Config src;
-        src.pberLo = spec_.pberLo;
-        src.pberHi = spec_.pberHi;
-        src.initialRate = spec_.link.rate;
         mac::SoftRateMac softrate(src);
-
-        mac::Arq::Config ac;
-        ac.mode = spec_.arqMode;
-        ac.window = spec_.arqWindow;
-        ac.maxAttempts = spec_.arqMaxAttempts;
-        ac.ackDelaySlots = spec_.ackDelaySlots;
         mac::Arq arq(ac);
 
         UserStats st;
@@ -428,7 +304,8 @@ NetworkSim::run(std::uint64_t slots, int threads)
             deliveries.clear();
             arq.tick(t, deliveries);
             for (const auto &d : deliveries)
-                detail::recordDelivery(st, d, payload_bits, t, tctx);
+                detail::recordDelivery(st, d, spec_.link.payloadBits,
+                                       t, tctx);
 
             // Traffic model: under "bernoulli" the user only holds
             // the (shared, slotted) medium in its arrival slots;
@@ -450,32 +327,31 @@ NetworkSim::run(std::uint64_t slots, int threads)
                                 0);
 
             const phy::RateIndex rate = softrate.currentRate();
-            const LinkFrameResult res = link->transmit(rate, seq, t);
-
-            ++st.framesSent;
-            st.framesOk += res.ok ? 1 : 0;
-            if (res.fullPhy)
-                ++st.fullPhyFrames;
-            else
-                ++st.analyticFrames;
-            st.rateHist.add(static_cast<double>(rate));
-            detail::recordTx(tctx, t, seq, res.ok,
-                             static_cast<int>(rate));
-
-            softrate.onFeedback(res.pber);
-            arq.onSendResult(seq, res.ok);
+            const bool full_phy = spec_.fidelity.fullPhySlot(t);
+            LinkFrameResult frame;
+            if (full_phy) {
+                frame = phy->fullPhyFrame(rate, spec_.link.rx,
+                                        spec_.link.payloadBits,
+                                        seeds.payloadSeed, seq, chan,
+                                        t, estimator);
+            } else {
+                // Block fading: one gain per slot; conditioning on
+                // |h|^2 turns the slot into a flat channel at the
+                // effective SNR, which is exactly what the table was
+                // calibrated against.
+                const double h2 = std::norm(chan.gain(t, 0));
+                frame = fast->drawAt(rate, t,
+                                   h2 <= 0.0
+                                       ? kZeroSinrDb // a dropped slot
+                                       : mean_snr_db +
+                                             10.0 * std::log10(h2));
+            }
+            detail::recordFrame(st, tctx, softrate, arq, t, seq, rate,
+                                frame, full_phy);
         }
 
-        // Drain acknowledgements still in flight at the horizon so
-        // their deliveries are counted (no new transmissions).
-        for (std::uint64_t t = slots;
-             t <= slots + spec_.ackDelaySlots; ++t) {
-            deliveries.clear();
-            arq.tick(t, deliveries);
-            for (const auto &d : deliveries)
-                detail::recordDelivery(st, d, payload_bits, t, tctx);
-        }
-
+        detail::drainAcks(arq, st, spec_, slots, tctx, false,
+                          deliveries);
         st.retransmissions = arq.retransmissions();
         // No mobility on the single-cell timeline: the whole run is
         // "before the first handover".
@@ -498,24 +374,7 @@ NetworkSim::run(std::uint64_t slots, int threads)
             static_cast<std::uint64_t>(spec_.numUsers), run_user);
     }
 
-    if (trace) {
-        trace->finalize();
-        // End-to-end latency from the Ack events, in canonical
-        // trace order.
-        for (const mac::PacketTrace::Entry &e : trace->entries()) {
-            if (e.event == mac::PacketEvent::Ack)
-                res.users[static_cast<size_t>(e.user)]
-                    .e2eLatencyHist.add(static_cast<double>(e.arg1));
-        }
-        res.trace = trace;
-    }
-
-    // Aggregate in user order: the merge sequence is fixed, so the
-    // merged floating-point statistics are deterministic too.
-    res.aggregate = UserStats();
-    res.aggregate.user = -1;
-    for (const UserStats &u : res.users)
-        res.aggregate.merge(u);
+    detail::finishResult(res, trace);
     return res;
 }
 

@@ -1,12 +1,14 @@
 /**
  * @file
- * Shared worker-thread PHY context of the network simulators: one
- * transmitter/receiver pair per rate (built lazily -- a run that
- * never visits QAM64 never pays for it) and the frame arena backing
- * the zero-copy packet path, plus the mutex-guarded free list that
- * leases contexts to work items. Both the single-cell loop
- * (network_sim.cc) and the multi-cell engine (multicell_sim.cc)
- * draw from this pool, so at most `threads` contexts ever exist
+ * The full-PHY rung of the fidelity ladder: a worker-thread PHY
+ * context -- one transmitter/receiver pair per rate (built lazily --
+ * a run that never visits QAM64 never pays for it) and the frame
+ * arena backing the zero-copy packet path -- whose fullPhyFrame() is
+ * the one bit-exact frame transaction of the network simulators,
+ * plus the mutex-guarded free list that leases contexts to work
+ * items. Both the single-cell loop (network_sim.cc) and the
+ * multi-cell engine (multicell_sim.cc) call fullPhyFrame() on a
+ * context from this pool, so at most `threads` contexts ever exist
  * regardless of the user or cell count.
  *
  * Internal to src/sim -- not part of the public simulator API.
@@ -16,14 +18,19 @@
 #define WILIS_SIM_WORKER_PHY_HH
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "channel/channel.hh"
 #include "common/frame_arena.hh"
+#include "common/random.hh"
 #include "common/sync.hh"
 #include "common/thread_annotations.hh"
 #include "phy/ofdm_rx.hh"
 #include "phy/ofdm_tx.hh"
+#include "sim/link_fidelity.hh"
+#include "softphy/ber_estimator.hh"
 
 namespace wilis {
 namespace sim {
@@ -57,6 +64,36 @@ struct WorkerPhy {
         if (!slot)
             slot = std::make_unique<phy::OfdmReceiver>(r, cfg);
         return *slot;
+    }
+
+    /**
+     * The bit-exact frame transaction: payload -> modulate ->
+     * @p chan at slot @p t -> demodulate -> bit compare, with the
+     * SoftPHY packet-BER feedback of @p estimator. The payload is
+     * derived like Testbench::makePayloadInto, keyed by @p seq, so a
+     * retransmission resends the same bits. Resets the arena.
+     */
+    LinkFrameResult
+    fullPhyFrame(phy::RateIndex rate,
+                 const phy::OfdmReceiver::Config &rx_cfg,
+                 size_t payload_bits, std::uint64_t payload_seed,
+                 std::uint64_t seq, channel::Channel &chan,
+                 std::uint64_t t,
+                 const softphy::BerEstimator &estimator)
+    {
+        arena.reset();
+        BitSpan payload = arena.alloc<Bit>(payload_bits);
+        fillDeterministicBits(payload, payload_seed, seq);
+        FrameContext ctx(arena);
+        SampleSpan samples = txAt(rate, rx_cfg).modulate(payload, ctx);
+        chan.apply(samples, t);
+        const phy::RxFrame rx_frame =
+            rxAt(rate, rx_cfg)
+                .demodulate(samples, payload_bits, &chan, t, ctx);
+        LinkFrameResult res;
+        res.ok = rx_frame.bitErrors(payload) == 0;
+        res.pber = estimator.packetBerForRate(rate, rx_frame.soft);
+        return res;
     }
 };
 

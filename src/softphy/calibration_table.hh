@@ -5,11 +5,11 @@
  * rates and SoftPHY packet-BER statistics measured against the
  * bit-exact PHY by a scenario-grid sweep.
  *
- * The analytic fast path of sim::NetworkSim (sim::LinkFidelity mode
- * "analytic"/"auto") conditions each frame slot on the link's fading
- * gain, forms the *effective* SNR of that slot, and draws the frame
- * outcome from this table instead of running tx -> channel -> rx ->
- * decode. Because the table is measured from the same pipeline it
+ * The analytic rung of sim::NetworkSim's fidelity ladder (modes
+ * "analytic"/"auto", see sim/link_fidelity.hh) conditions each frame
+ * slot on the link's fading gain, forms the *effective* SNR of that
+ * slot, and draws the frame outcome from this table instead of
+ * running tx -> channel -> rx -> decode. Because the table is measured from the same pipeline it
  * replaces -- same rates, same receiver configuration, same
  * SoftPHY estimator feeding SoftRate -- system-level statistics
  * (per-user PER, goodput, rate usage) track the full-PHY reference
