@@ -294,28 +294,6 @@ BM_KernelBcjrBlock(benchmark::State &state)
 BENCHMARK(BM_KernelBcjrBlock)->Arg(0)->Arg(1)->Arg(2);
 
 void
-BM_KernelAcsForwardI16(benchmark::State &state)
-{
-    if (!selectBackendArg(state))
-        return;
-    const auto &tv = decode::TrellisTables::view();
-    SplitMix64 rng(22);
-    std::int16_t pm[decode::kStates];
-    std::int16_t pm_next[decode::kStates];
-    for (auto &x : pm)
-        x = static_cast<std::int16_t>(rng.next());
-    std::int16_t bm[4] = {-24, 3, -3, 24};
-    std::uint64_t choices = 0;
-    for (auto _ : state) {
-        kernels::ops().acsForwardI16(tv, pm, bm, pm_next, &choices);
-        benchmark::DoNotOptimize(pm_next);
-        benchmark::DoNotOptimize(choices);
-    }
-    state.SetItemsProcessed(state.iterations() * decode::kStates);
-}
-BENCHMARK(BM_KernelAcsForwardI16)->Arg(0)->Arg(1)->Arg(2);
-
-void
 BM_KernelDemapBatch(benchmark::State &state)
 {
     if (!selectBackendArg(state))
@@ -375,26 +353,6 @@ BM_KernelScaleComplex(benchmark::State &state)
                             static_cast<std::int64_t>(buf.size()));
 }
 BENCHMARK(BM_KernelScaleComplex)->Arg(0)->Arg(1)->Arg(2);
-
-void
-BM_KernelAxpyF32(benchmark::State &state)
-{
-    if (!selectBackendArg(state))
-        return;
-    SplitMix64 rng(25);
-    std::vector<float> x(1 << 14), y(1 << 14);
-    for (size_t i = 0; i < x.size(); ++i) {
-        x[i] = static_cast<float>(rng.nextDouble());
-        y[i] = static_cast<float>(rng.nextDouble());
-    }
-    for (auto _ : state) {
-        kernels::ops().axpyF32(y.data(), x.data(), y.size(), 0.5f);
-        benchmark::DoNotOptimize(y.data());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(y.size()));
-}
-BENCHMARK(BM_KernelAxpyF32)->Arg(0)->Arg(1)->Arg(2);
 
 } // namespace
 

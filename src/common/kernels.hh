@@ -21,10 +21,9 @@
  * scalar code, and never fuse into FMA. Backend selection therefore
  * changes simulation *speed* only, never simulation *physics* --
  * pinned by tests/test_simd_kernels.cc on randomized inputs and by
- * the rate x channel grid. The layer also exposes packed f32/i16 ops
- * (e.g. the saturating i16 ACS prototype below); those trade
- * precision for width and are benchmarked but deliberately not wired
- * into the decode path.
+ * the rate x channel grid. Narrower lanes (saturating i16 path
+ * metrics, packed f32) would buy width at the price of that
+ * guarantee, so the layer has none.
  *
  * The OFDM (I)FFT is one entry too (fft): split re/im butterflies
  * over per-direction twiddle tables, vectorized across each stage's
@@ -113,10 +112,6 @@ struct TrellisView {
     const std::int32_t *fwdOut0;
     /** Branch-metric index (0..3) of the forward transition for 1. */
     const std::int32_t *fwdOut1;
-    /** i16 copy of revOut0 for the narrow ACS prototype. */
-    const std::int16_t *revOut0_16;
-    /** i16 copy of revOut1 for the narrow ACS prototype. */
-    const std::int16_t *revOut1_16;
 };
 
 /** Modulation kind for the batched demapper (matches phy::Modulation). */
@@ -262,25 +257,6 @@ struct Ops {
      */
     void (*axpyNoise)(Sample *s, size_t n, double sigma,
                       const double *gauss);
-
-    /**
-     * Prototype saturating i16 ACS (the narrow path-metric variant
-     * the hardware uses). NOT bit-compatible with the i32 decode
-     * path -- exposed for benchmarking the extra vector width and
-     * pinned scalar<->SIMD-exact by tests, but not dispatched from
-     * the decoders (see the numerical-equivalence policy above).
-     */
-    void (*acsForwardI16)(const TrellisView &tv,
-                          const std::int16_t *pm_in,
-                          const std::int16_t bm[4],
-                          std::int16_t *pm_out,
-                          std::uint64_t *choices);
-
-    /**
-     * Packed f32 axpy, y[i] += a * x[i]: the layer's f32 contract
-     * (mul + add, no FMA), bit-exact across backends.
-     */
-    void (*axpyF32)(float *y, const float *x, size_t n, float a);
 
     // ---- structure-of-arrays analytic-engine kernels -------------
     // (see docs/ARCHITECTURE.md "Structure-of-arrays analytic

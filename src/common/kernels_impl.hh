@@ -49,13 +49,10 @@ namespace wilis {
 namespace kernels {
 namespace WILIS_SIMD_NS {
 
-using simd::WILIS_SIMD_NS::VecF32;
 using simd::WILIS_SIMD_NS::VecF64;
-using simd::WILIS_SIMD_NS::VecI16;
 using simd::WILIS_SIMD_NS::VecI32;
 using simd::WILIS_SIMD_NS::VecU64;
 
-using i16 = std::int16_t;
 using i32 = std::int32_t;
 using u8 = std::uint8_t;
 using u64 = std::uint64_t;
@@ -118,29 +115,6 @@ bestStateKernel(const i32 *pm, int n)
             return s;
     }
     return 0;
-}
-
-inline void
-acsForwardI16Kernel(const TrellisView &tv, const i16 *pm_in,
-                    const i16 bm[4], i16 *pm_out, u64 *choices)
-{
-    const int n = tv.nStates;
-    const int half = n / 2;
-    constexpr int L = VecI16::kLanes;
-    u64 ch = 0;
-    for (int s = 0; s < n; s += L) {
-        const int base = 2 * (s & (half - 1));
-        VecI16 m0 = VecI16::adds(
-            VecI16::loadEven(pm_in + base),
-            VecI16::lookup4(bm, VecI16::load(tv.revOut0_16 + s)));
-        VecI16 m1 = VecI16::adds(
-            VecI16::loadOdd(pm_in + base),
-            VecI16::lookup4(bm, VecI16::load(tv.revOut1_16 + s)));
-        VecI16 mask = VecI16::gtMask(m1, m0);
-        VecI16::blend(m0, m1, mask).store(pm_out + s);
-        ch |= static_cast<u64>(mask.moveMask()) << s;
-    }
-    *choices = ch;
 }
 
 // ------------------------------------------------ max-log BCJR frame
@@ -734,18 +708,6 @@ axpyNoiseKernel(Sample *s, size_t n, double sigma,
         d[i] = d[i] + sigma * gauss[i];
 }
 
-inline void
-axpyF32Kernel(float *y, const float *x, size_t n, float a)
-{
-    constexpr int L = VecF32::kLanes;
-    const VecF32 va = VecF32::broadcast(a);
-    size_t i = 0;
-    for (; i + L <= n; i += L)
-        (VecF32::load(y + i) + va * VecF32::load(x + i)).store(y + i);
-    for (; i < n; ++i)
-        y[i] = y[i] + a * x[i];
-}
-
 // ---------------------------------- SoA analytic-engine kernels
 //
 // Batched twins of the multi-cell analytic fast path's scalar
@@ -959,8 +921,6 @@ inline const Ops kOps = {
     &fftKernel,
     &scaleComplexKernel,
     &axpyNoiseKernel,
-    &acsForwardI16Kernel,
-    &axpyF32Kernel,
     &rngU01KeyedKernel,
     &sinrAccumBatchKernel,
     &perDrawBatchKernel,

@@ -42,10 +42,6 @@ TrellisTables::get()
             f.next1[s] = t.fwdNext[s][1];
             f.fwdOut0[s] = t.fwdOut[s][0];
             f.fwdOut1[s] = t.fwdOut[s][1];
-            f.revOut0_16[s] =
-                static_cast<std::int16_t>(t.revOut[s][0]);
-            f.revOut1_16[s] =
-                static_cast<std::int16_t>(t.revOut[s][1]);
 
             wilis_assert(f.pred0[s] == 2 * (s % (kStates / 2)) &&
                              f.pred1[s] == f.pred0[s] + 1,
@@ -78,9 +74,8 @@ TrellisTables::view()
     static const kernels::TrellisView v = [] {
         const Flat &f = get().flat;
         return kernels::TrellisView{
-            kStates,   f.pred0,      f.pred1,      f.revOut0,
-            f.revOut1, f.next0,      f.next1,      f.fwdOut0,
-            f.fwdOut1, f.revOut0_16, f.revOut1_16,
+            kStates, f.pred0, f.pred1,   f.revOut0, f.revOut1,
+            f.next0, f.next1, f.fwdOut0, f.fwdOut1,
         };
     }();
     return v;

@@ -44,7 +44,7 @@ struct TrellisTables {
     std::uint8_t fwdOut[kStates][2];
 
     /**
-     * The same structure as flat i32/i16 arrays plus the
+     * The same structure as flat i32 arrays plus the
      * kernels::TrellisView over them, the form the SIMD kernel
      * backends consume (see common/kernels.hh). Building it asserts
      * the shift-register butterfly layout the vector ACS relies on.
@@ -58,8 +58,6 @@ struct TrellisTables {
         std::int32_t next0[kStates], next1[kStates];
         /** Forward-transition output index, input 0 / 1. */
         std::int32_t fwdOut0[kStates], fwdOut1[kStates];
-        /** i16 copies of revOut0/revOut1 for the narrow ACS. */
-        std::int16_t revOut0_16[kStates], revOut1_16[kStates];
     };
     /** The flat arrays kernels::TrellisView points into. */
     Flat flat;

@@ -4,8 +4,8 @@
  * host must be BIT-EXACT with the scalar reference on randomized
  * inputs for each kernel in the table (demapper LLRs, forward ACS,
  * the whole-frame max-log BCJR, metric normalization, the FFT,
- * channel complex scale and noise injection, and the prototype i16
- * saturating ACS), and forcing the scalar backend must reproduce the
+ * channel complex scale and noise injection, and the analytic-engine
+ * batch kernels), and forcing the scalar backend must reproduce the
  * full-pipeline results of the widest backend on a rate x channel
  * grid -- the property that makes test_bitexact_grid's pins
  * backend-independent.
@@ -256,35 +256,6 @@ TEST_F(SimdKernelTest, NormalizeAndBestStateMatchScalar)
     }
 }
 
-TEST_F(SimdKernelTest, AcsForwardI16MatchesScalar)
-{
-    const auto &tv = decode::TrellisTables::view();
-    SplitMix64 rng(0x116A);
-    for (Backend b : vectorBackends()) {
-        const Ops &vec = tableOf(b);
-        const Ops &ref = tableOf(Backend::Scalar);
-        for (int round = 0; round < 200; ++round) {
-            std::int16_t pm[decode::kStates];
-            for (auto &x : pm)
-                x = static_cast<std::int16_t>(rng.next());
-            std::int16_t bm[4];
-            for (auto &x : bm)
-                x = static_cast<std::int16_t>(rng.nextBelow(512)) -
-                    256;
-            std::int16_t out_ref[decode::kStates];
-            std::int16_t out_vec[decode::kStates];
-            std::uint64_t ch_ref = 0, ch_vec = 0;
-            ref.acsForwardI16(tv, pm, bm, out_ref, &ch_ref);
-            vec.acsForwardI16(tv, pm, bm, out_vec, &ch_vec);
-            ASSERT_EQ(ch_ref, ch_vec)
-                << kernels::backendName(b) << " round " << round;
-            ASSERT_EQ(0, std::memcmp(out_ref, out_vec,
-                                     sizeof(out_ref)))
-                << kernels::backendName(b) << " round " << round;
-        }
-    }
-}
-
 TEST_F(SimdKernelTest, DemapBatchMatchesScalarAndPerSymbolDemap)
 {
     SplitMix64 rng(0xDE3A9);
@@ -398,29 +369,6 @@ TEST_F(SimdKernelTest, FftMatchesScalar)
                     << " inverse " << inverse;
             }
         }
-    }
-}
-
-TEST_F(SimdKernelTest, AxpyF32MatchesScalar)
-{
-    SplitMix64 rng(0xF32A);
-    const size_t n = 517;
-    std::vector<float> x(n), y0(n);
-    for (size_t i = 0; i < n; ++i) {
-        x[i] = static_cast<float>(rng.nextDouble() * 2.0 - 1.0);
-        y0[i] = static_cast<float>(rng.nextDouble() * 2.0 - 1.0);
-    }
-    const float a = 0.33719f;
-    const Ops &ref = tableOf(Backend::Scalar);
-    std::vector<float> want = y0;
-    ref.axpyF32(want.data(), x.data(), n, a);
-    for (Backend b : vectorBackends()) {
-        const Ops &vec = tableOf(b);
-        std::vector<float> got = y0;
-        vec.axpyF32(got.data(), x.data(), n, a);
-        ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
-                                 n * sizeof(float)))
-            << kernels::backendName(b);
     }
 }
 
