@@ -90,9 +90,9 @@ const char *const kNetworkKeys[] = {
     "traffic",        "traffic_load",
     "on_slots",       "off_slots",
     "queue_limit",    "scheduler",
-    "pf_horizon",     "engine",
-    "qdisc",          "control_rate",
-    "contention",     "trace",
+    "pf_horizon",     "qdisc",
+    "control_rate",   "contention",
+    "trace",
     // multi-cell: mobility + churn
     "mobility",       "speed_mps",
     "handover_hyst_db", "handover_ttt_slots",
@@ -584,20 +584,6 @@ NetworkSpec::applyConfig(const li::Config &cfg)
 
     trace = cfg.getBool("trace", trace);
 
-    // Deprecated: the per-user engine is gone, so the old engine
-    // selector is accepted (valid values only) and ignored.
-    if (cfg.has("engine")) {
-        const std::string engine = cfg.getString("engine", "");
-        wilis_assert(engine == "auto" || engine == "soa" ||
-                         engine == "peruser",
-                     "unknown multi-cell engine '%s' "
-                     "(auto|soa|peruser)",
-                     engine.c_str());
-        wilis_warn("key 'engine=%s' is deprecated and ignored: the "
-                   "multi-cell simulator has a single engine",
-                   engine.c_str());
-    }
-
     // Pass-throughs to the link template: explicit "link.<k>" keys
     // plus the common shorthands.
     li::Config link_cfg;
@@ -638,7 +624,7 @@ NetworkSpec::applyConfig(const li::Config &cfg)
               "ref_snr_db", "ref_distance_m", "pathloss_exp",
               "shadow_sigma_db", "traffic", "traffic_load",
               "on_slots", "off_slots", "queue_limit", "scheduler",
-              "pf_horizon", "engine", "qdisc", "control_rate",
+              "pf_horizon", "qdisc", "control_rate",
               "contention", "mobility", "speed_mps",
               "handover_hyst_db", "handover_ttt_slots",
               "churn_rate", "checkpoint_file", "checkpoint_every",

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -276,25 +277,18 @@ TEST(Multicell, GoldenPinsHoldAcrossCheckpointResume)
     std::remove(ckpt.c_str());
 }
 
-// ------------------------------ deprecated key, cross-run cache
+// ------------------------------ retired engine key, cross-run cache
 
-TEST(Multicell, DeprecatedEngineKeyIsIgnored)
+TEST(Multicell, RetiredEngineKeyIsUnknown)
 {
-    // "engine" selected between two bit-identical engines; one is
-    // left, so the key is accepted with a warning and dropped.
-    const NetworkSpec s = networkPreset("grid-3x3");
-    EXPECT_FALSE(s.toConfig().has("engine"));
-    for (const char *engine : {"auto", "soa", "peruser"}) {
-        li::Config cfg = s.toConfig();
-        cfg.set("engine", engine);
-        const NetworkSpec t = NetworkSpec::fromConfig(cfg);
-        EXPECT_FALSE(t.toConfig().has("engine"));
-        EXPECT_EQ(t.fingerprint(), s.fingerprint());
-    }
-    li::Config bad = s.toConfig();
-    bad.set("engine", "vectorized");
-    EXPECT_DEATH(NetworkSpec::fromConfig(bad),
-                 "unknown multi-cell engine");
+    // One multi-cell engine is left, so its former selector is an
+    // unknown key like any other.
+    const std::vector<std::string> keys = networkSpecKeys();
+    EXPECT_EQ(std::count(keys.begin(), keys.end(), "engine"), 0);
+    li::Config cfg = networkPreset("grid-3x3").toConfig();
+    cfg.set("engine", "soa");
+    EXPECT_DEATH(NetworkSpec::fromConfig(cfg),
+                 "unknown NetworkSpec key 'engine'");
 }
 
 TEST(Multicell, SoaCacheReuseDoesNotChangeResults)
