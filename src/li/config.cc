@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -111,9 +112,13 @@ Config::getInt(const std::string &key, long def) const
     if (it == kv.end())
         return def;
     char *end = nullptr;
+    errno = 0;
     long v = std::strtol(it->second.c_str(), &end, 0);
     if (end == nullptr || *end != '\0')
         wilis_fatal("config key '%s': '%s' is not an integer",
+                    key.c_str(), it->second.c_str());
+    if (errno == ERANGE)
+        wilis_fatal("config key '%s': '%s' is out of range",
                     key.c_str(), it->second.c_str());
     return v;
 }
@@ -125,6 +130,7 @@ Config::getUint64(const std::string &key, std::uint64_t def) const
     if (it == kv.end())
         return def;
     char *end = nullptr;
+    errno = 0;
     // strtoull would silently wrap a leading minus sign.
     unsigned long long v =
         it->second.find('-') == std::string::npos
@@ -133,6 +139,9 @@ Config::getUint64(const std::string &key, std::uint64_t def) const
     if (end == nullptr || *end != '\0')
         wilis_fatal("config key '%s': '%s' is not an unsigned "
                     "integer", key.c_str(), it->second.c_str());
+    if (errno == ERANGE)
+        wilis_fatal("config key '%s': '%s' is out of range",
+                    key.c_str(), it->second.c_str());
     return static_cast<std::uint64_t>(v);
 }
 

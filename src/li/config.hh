@@ -38,12 +38,16 @@ class Config
     std::string getString(const std::string &key,
                           const std::string &def = "") const;
 
-    /** Integer value or @p def; fatal on malformed numbers. */
+    /**
+     * Integer value or @p def; fatal on malformed numbers and on
+     * values outside the range of long.
+     */
     long getInt(const std::string &key, long def = 0) const;
 
     /**
-     * Unsigned 64-bit value or @p def; fatal on malformed numbers.
-     * Use for seeds, which occupy the full 64-bit range.
+     * Unsigned 64-bit value or @p def; fatal on malformed numbers
+     * and on values above 2^64 - 1. Use for seeds, which occupy the
+     * full 64-bit range.
      */
     std::uint64_t getUint64(const std::string &key,
                             std::uint64_t def = 0) const;

@@ -1,6 +1,7 @@
 #include "sim/scenario.hh"
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <map>
 #include <set>
@@ -119,6 +120,26 @@ struct KeyTable {
         }
     }
 };
+
+/** Largest payload a PLCP header can describe: 4095 octets. */
+constexpr long kMaxPayloadBits = 4095 * 8;
+
+/**
+ * Integer key @p key of @p cfg (or @p def when absent), checked
+ * against [@p lo, @p hi] on the long value, before the caller
+ * narrows it; fatal naming the key and the value as written.
+ */
+long
+rangedKey(const li::Config &cfg, const char *key, long def, long lo,
+          long hi)
+{
+    const long v = cfg.getInt(key, def);
+    if (v < lo || v > hi)
+        wilis_fatal("key '%s' = %s outside [%ld, %ld]", key,
+                    cfg.getString(key, std::to_string(def)).c_str(),
+                    lo, hi);
+    return v;
+}
 
 std::vector<std::string>
 sortedKeys(const char *const *begin, const char *const *end)
@@ -244,19 +265,19 @@ ScenarioSpec::applyConfig(const li::Config &cfg)
                       keys.prefixes);
 
     name = cfg.getString("name", name);
-    rate = static_cast<phy::RateIndex>(cfg.getInt("rate", rate));
-    wilis_assert(rate >= 0 && rate < phy::kNumRates,
-                 "rate index %d out of range", rate);
+    rate = static_cast<phy::RateIndex>(
+        rangedKey(cfg, "rate", rate, 0, phy::kNumRates - 1));
     channel = cfg.getString("channel", channel);
     payloadBits = static_cast<size_t>(
-        cfg.getInt("payload_bits", static_cast<long>(payloadBits)));
+        rangedKey(cfg, "payload_bits",
+                  static_cast<long>(payloadBits), 1, kMaxPayloadBits));
     payloadSeed = cfg.getUint64("payload_seed", payloadSeed);
     rx.decoder = cfg.getString("decoder", rx.decoder);
     rx.demapper.softWidth = static_cast<int>(
-        cfg.getInt("soft_width", rx.demapper.softWidth));
+        rangedKey(cfg, "soft_width", rx.demapper.softWidth, 2, 24));
     rx.applyCsiWeight = cfg.getBool("csi_weight", rx.applyCsiWeight);
     rx.scramblerSeed = static_cast<std::uint8_t>(
-        cfg.getInt("scrambler_seed", rx.scramblerSeed));
+        rangedKey(cfg, "scrambler_seed", rx.scramblerSeed, 1, 127));
     clocks.basebandMhz =
         cfg.getDouble("baseband_mhz", clocks.basebandMhz);
     clocks.decoderMhz =
@@ -460,10 +481,8 @@ NetworkSpec::applyConfig(const li::Config &cfg)
                       keys.prefixes);
 
     name = cfg.getString("name", name);
-    numUsers =
-        static_cast<int>(cfg.getInt("users", numUsers));
-    wilis_assert(numUsers >= 1, "network needs >= 1 user, got %d",
-                 numUsers);
+    numUsers = static_cast<int>(
+        rangedKey(cfg, "users", numUsers, 1, INT_MAX));
     arrivalModel = cfg.getString("arrival", arrivalModel);
     wilis_assert(arrivalModel == "full" ||
                      arrivalModel == "bernoulli",
@@ -476,9 +495,10 @@ NetworkSpec::applyConfig(const li::Config &cfg)
         cfg.getDouble("frame_interval_us", frameIntervalUs);
     if (cfg.has("arq"))
         arqMode = mac::arqModeFromName(cfg.getString("arq"));
-    arqWindow = static_cast<int>(cfg.getInt("arq_window", arqWindow));
-    arqMaxAttempts = static_cast<int>(
-        cfg.getInt("arq_max_attempts", arqMaxAttempts));
+    arqWindow = static_cast<int>(
+        rangedKey(cfg, "arq_window", arqWindow, 1, INT_MAX));
+    arqMaxAttempts = static_cast<int>(rangedKey(
+        cfg, "arq_max_attempts", arqMaxAttempts, 1, INT_MAX));
     ackDelaySlots = cfg.getUint64("ack_delay", ackDelaySlots);
     pberLo = cfg.getDouble("pber_lo", pberLo);
     pberHi = cfg.getDouble("pber_hi", pberHi);
@@ -494,8 +514,7 @@ NetworkSpec::applyConfig(const li::Config &cfg)
                                           fidelity.refreshSlots);
     calibrationFile =
         cfg.getString("calibration_file", calibrationFile);
-    reps = static_cast<int>(cfg.getInt("reps", reps));
-    wilis_assert(reps >= 1, "reps must be >= 1, got %d", reps);
+    reps = static_cast<int>(rangedKey(cfg, "reps", reps, 1, INT_MAX));
 
     checkpoint.file =
         cfg.getString("checkpoint_file", checkpoint.file);
@@ -540,7 +559,7 @@ NetworkSpec::applyConfig(const li::Config &cfg)
     traffic.onSlots = cfg.getDouble("on_slots", traffic.onSlots);
     traffic.offSlots = cfg.getDouble("off_slots", traffic.offSlots);
     traffic.queueLimit = static_cast<int>(
-        cfg.getInt("queue_limit", traffic.queueLimit));
+        rangedKey(cfg, "queue_limit", traffic.queueLimit, 1, INT_MAX));
 
     if (cfg.has("qdisc"))
         traffic.qdisc =

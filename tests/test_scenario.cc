@@ -101,7 +101,54 @@ TEST(ScenarioSpec, RejectsMalformedValues)
                  "");
     EXPECT_DEATH(ScenarioSpec::fromConfig(
                      li::Config::fromString("rate=9")),
-                 "rate index 9 out of range");
+                 "key 'rate' = 9 outside \\[0, 7\\]");
+}
+
+// Integer keys are range-checked on the parsed long, before they are
+// narrowed: a value that used to wrap into range (4294967297 -> 1)
+// or crash later (a negative size, a zero scrambler seed) dies here,
+// naming the key and the value as written.
+TEST(ScenarioSpec, RejectsOutOfRangeIntegerKeys)
+{
+    const struct {
+        const char *cfg;
+        const char *error;
+    } cases[] = {
+        {"rate=4294967300", "key 'rate' = 4294967300 outside"},
+        {"rate=-1", "key 'rate' = -1 outside"},
+        {"payload_bits=-8", "key 'payload_bits' = -8 outside"},
+        {"payload_bits=32761", "key 'payload_bits' = 32761 outside"},
+        {"soft_width=1", "key 'soft_width' = 1 outside"},
+        {"soft_width=25", "key 'soft_width' = 25 outside"},
+        {"scrambler_seed=256", "key 'scrambler_seed' = 256 outside"},
+        {"scrambler_seed=0", "key 'scrambler_seed' = 0 outside"},
+        {"rate=99999999999999999999", "'99999999999999999999' is out "
+                                      "of range"},
+        {"payload_seed=18446744073709551616",
+         "'18446744073709551616' is out of range"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.cfg);
+        EXPECT_DEATH(
+            ScenarioSpec::fromConfig(li::Config::fromString(c.cfg)),
+            c.error);
+    }
+}
+
+TEST(ScenarioSpec, AcceptsTheEdgesOfEachIntegerRange)
+{
+    ScenarioSpec lo = ScenarioSpec::fromConfig(li::Config::fromString(
+        "rate=0,payload_bits=1,soft_width=2,scrambler_seed=1"));
+    EXPECT_EQ(lo.rate, 0);
+    EXPECT_EQ(lo.payloadBits, 1u);
+    EXPECT_EQ(lo.rx.demapper.softWidth, 2);
+    EXPECT_EQ(lo.rx.scramblerSeed, 1);
+    ScenarioSpec hi = ScenarioSpec::fromConfig(li::Config::fromString(
+        "rate=7,payload_bits=32760,soft_width=24,scrambler_seed=127"));
+    EXPECT_EQ(hi.rate, 7);
+    EXPECT_EQ(hi.payloadBits, 32760u);
+    EXPECT_EQ(hi.rx.demapper.softWidth, 24);
+    EXPECT_EQ(hi.rx.scramblerSeed, 127);
 }
 
 TEST(NetworkSpecStrict, RejectsUnknownKeysWithAPinnedError)
@@ -189,6 +236,57 @@ TEST(NetworkSpecStrict, RejectsMalformedValues)
     EXPECT_DEATH(NetworkSpec::fromConfig(li::Config::fromString(
                      "cells=3x3,control_rate=-0.5")),
                  "control_rate must be >= 0");
+}
+
+TEST(NetworkSpecStrict, RejectsOutOfRangeIntegerKeys)
+{
+    const struct {
+        const char *cfg;
+        const char *error;
+    } cases[] = {
+        {"users=4294967297", "key 'users' = 4294967297 outside"},
+        {"users=0", "key 'users' = 0 outside"},
+        {"arq_window=4294967297", "key 'arq_window' = 4294967297 outside"},
+        {"arq_window=0", "key 'arq_window' = 0 outside"},
+        {"arq_max_attempts=-3", "key 'arq_max_attempts' = -3 outside"},
+        {"arq_max_attempts=2147483648",
+         "key 'arq_max_attempts' = 2147483648 outside"},
+        {"reps=0", "key 'reps' = 0 outside"},
+        {"reps=4294967297", "key 'reps' = 4294967297 outside"},
+        {"cells=3x3,queue_limit=-1", "key 'queue_limit' = -1 outside"},
+        {"cells=3x3,queue_limit=4294967297",
+         "key 'queue_limit' = 4294967297 outside"},
+        // Shorthands and link.* keys reach the link template's check.
+        {"rate=4294967300", "key 'rate' = 4294967300 outside"},
+        {"link.scrambler_seed=256", "key 'scrambler_seed' = 256 outside"},
+        {"net_seed=18446744073709551616",
+         "'18446744073709551616' is out of range"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.cfg);
+        EXPECT_DEATH(
+            NetworkSpec::fromConfig(li::Config::fromString(c.cfg)),
+            c.error);
+    }
+}
+
+TEST(NetworkSpecStrict, AcceptsTheEdgesOfEachIntegerRange)
+{
+    for (const char *v : {"1", "2147483647"}) {
+        SCOPED_TRACE(v);
+        const std::string n(v);
+        const NetworkSpec s = NetworkSpec::fromConfig(
+            li::Config::fromString("cells=3x3,users=" + n +
+                                   ",arq_window=" + n +
+                                   ",arq_max_attempts=" + n +
+                                   ",reps=" + n + ",queue_limit=" + n));
+        const int want = std::stoi(n);
+        EXPECT_EQ(s.numUsers, want);
+        EXPECT_EQ(s.arqWindow, want);
+        EXPECT_EQ(s.arqMaxAttempts, want);
+        EXPECT_EQ(s.reps, want);
+        EXPECT_EQ(s.traffic.queueLimit, want);
+    }
 }
 
 TEST(NetworkSpecStrict, UpperStackKeysAreMulticellOnly)
