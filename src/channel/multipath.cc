@@ -11,7 +11,7 @@ namespace channel {
 
 MultipathChannel::MultipathChannel(const li::Config &cfg)
     : awgn(cfg.getDouble("snr_db", 10.0),
-           static_cast<std::uint64_t>(cfg.getInt("seed", 1)),
+           cfg.getUint64("seed", 1),
            static_cast<int>(cfg.getInt("threads", 1)),
            cfg.getBool("common_noise", false)),
       packet_interval_us(cfg.getDouble("packet_interval_us", 2000.0))
@@ -19,8 +19,7 @@ MultipathChannel::MultipathChannel(const li::Config &cfg)
     const int num_taps = static_cast<int>(cfg.getInt("num_taps", 4));
     const double spread = cfg.getDouble("delay_spread", 3.0);
     const double doppler = cfg.getDouble("doppler_hz", 20.0);
-    const std::uint64_t seed =
-        static_cast<std::uint64_t>(cfg.getInt("seed", 1));
+    const std::uint64_t seed = cfg.getUint64("seed", 1);
 
     wilis_assert(num_taps >= 1, "need at least one tap");
     wilis_assert(num_taps - 1 <= phy::OfdmGeometry::kCpLen,
