@@ -330,21 +330,19 @@ NetworkSim::run(std::uint64_t slots, int threads)
             const bool full_phy = spec_.fidelity.fullPhySlot(t);
             LinkFrameResult frame;
             if (full_phy) {
-                frame = phy->fullPhyFrame(rate, spec_.link.rx,
-                                        spec_.link.payloadBits,
-                                        seeds.payloadSeed, seq, chan,
-                                        t, estimator);
+                frame = phy->fullPhyFrame(
+                    rate, spec_.link.rx, spec_.link.payloadBits,
+                    seeds.payloadSeed, seq, chan, t, estimator);
             } else {
                 // Block fading: one gain per slot; conditioning on
                 // |h|^2 turns the slot into a flat channel at the
                 // effective SNR, which is exactly what the table was
                 // calibrated against.
                 const double h2 = std::norm(chan.gain(t, 0));
-                frame = fast->drawAt(rate, t,
-                                   h2 <= 0.0
-                                       ? kZeroSinrDb // a dropped slot
-                                       : mean_snr_db +
-                                             10.0 * std::log10(h2));
+                const double snr_eff_db =
+                    h2 <= 0.0 ? kZeroSinrDb // a dropped slot
+                              : mean_snr_db + 10.0 * std::log10(h2);
+                frame = fast->drawAt(rate, t, snr_eff_db);
             }
             detail::recordFrame(st, tctx, softrate, arq, t, seq, rate,
                                 frame, full_phy);
