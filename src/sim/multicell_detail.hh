@@ -25,9 +25,11 @@
 #ifndef WILIS_SIM_MULTICELL_DETAIL_HH
 #define WILIS_SIM_MULTICELL_DETAIL_HH
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/random.hh"
@@ -62,6 +64,20 @@ interferenceFade(const CounterRng &stream, std::uint64_t counter)
     if (u < 1e-300)
         u = 1e-300;
     return -std::log(u);
+}
+
+/**
+ * Worker threads for a run asking for @p threads (0 = hardware
+ * concurrency), capped at its @p work_items independent items.
+ */
+inline int
+workerCount(int threads, int work_items)
+{
+    const int n = threads > 0
+                      ? threads
+                      : static_cast<int>(std::max(
+                            1u, std::thread::hardware_concurrency()));
+    return std::min(n, work_items);
 }
 
 /** SoftRate configuration of every user of @p spec. */

@@ -26,7 +26,6 @@
 #include <cmath>
 #include <complex>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "channel/awgn.hh"
@@ -870,11 +869,7 @@ runMulticellNetwork(
     const std::uint64_t ckpt_every =
         spec.checkpoint.enabled() ? spec.checkpoint.everySlots : 0;
 
-    int n = threads > 0
-                ? threads
-                : static_cast<int>(std::max(
-                      1u, std::thread::hardware_concurrency()));
-    n = std::min(n, cells);
+    const int n = detail::workerCount(threads, cells);
 
     // The whole slot loop runs inside one LockstepTeam::run():
     // cells are statically partitioned across workers (each cell's

@@ -5,7 +5,6 @@
 #include <complex>
 #include <memory>
 #include <optional>
-#include <thread>
 
 #include "channel/fading.hh"
 #include "common/kernels.hh"
@@ -358,11 +357,7 @@ NetworkSim::run(std::uint64_t slots, int threads)
         phy_pool.release(std::move(phy));
     };
 
-    int n = threads > 0
-                ? threads
-                : static_cast<int>(std::max(
-                      1u, std::thread::hardware_concurrency()));
-    n = std::min(n, spec_.numUsers);
+    const int n = detail::workerCount(threads, spec_.numUsers);
     if (n <= 1) {
         for (int u = 0; u < spec_.numUsers; ++u)
             run_user(static_cast<std::uint64_t>(u));

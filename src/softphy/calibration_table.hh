@@ -9,13 +9,14 @@
  * "analytic"/"auto", see sim/link_fidelity.hh) conditions each frame
  * slot on the link's fading gain, forms the *effective* SNR of that
  * slot, and draws the frame outcome from this table instead of
- * running tx -> channel -> rx -> decode. Because the table is measured from the same pipeline it
- * replaces -- same rates, same receiver configuration, same
- * SoftPHY estimator feeding SoftRate -- system-level statistics
- * (per-user PER, goodput, rate usage) track the full-PHY reference
- * within sampling tolerance at a small fraction of the cost (the
- * WiLIS mixed-fidelity argument; see also "Performance Modeling of
- * Next-Generation Wireless Networks" in PAPERS.md).
+ * running tx -> channel -> rx -> decode. Because the table is
+ * measured from the same pipeline it replaces -- same rates, same
+ * receiver configuration, same SoftPHY estimator feeding SoftRate --
+ * system-level statistics (per-user PER, goodput, rate usage) track
+ * the full-PHY reference within sampling tolerance at a small
+ * fraction of the cost (the WiLIS mixed-fidelity argument; see also
+ * "Performance Modeling of Next-Generation Wireless Networks" in
+ * PAPERS.md).
  *
  * Determinism: the build accumulates per-packet observations keyed
  * by packet index and reduces them in packet order, so the table --
