@@ -122,8 +122,8 @@ TEST(ScenarioSpec, RejectsOutOfRangeIntegerKeys)
         {"soft_width=25", "key 'soft_width' = 25 outside"},
         {"scrambler_seed=256", "key 'scrambler_seed' = 256 outside"},
         {"scrambler_seed=0", "key 'scrambler_seed' = 0 outside"},
-        {"rate=99999999999999999999", "'99999999999999999999' is out "
-                                      "of range"},
+        {"rate=99999999999999999999",
+         "'99999999999999999999' is out of range"},
         {"payload_seed=18446744073709551616",
          "'18446744073709551616' is out of range"},
     };
