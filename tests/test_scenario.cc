@@ -105,8 +105,8 @@ TEST(ScenarioSpec, RejectsMalformedValues)
 }
 
 // Integer keys are range-checked on the parsed long, before they are
-// narrowed: a value that used to wrap into range (4294967297 -> 1)
-// or crash later (a negative size, a zero scrambler seed) dies here,
+// narrowed: a value that would wrap into range (4294967297 -> 1) or
+// crash later (a negative size, a zero scrambler seed) dies here,
 // naming the key and the value as written.
 TEST(ScenarioSpec, RejectsOutOfRangeIntegerKeys)
 {
