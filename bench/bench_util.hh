@@ -100,8 +100,12 @@ jsonPathFromArgs(int argc, char **argv)
  *                    ... ] }
  *
  * Metric names are the regression-check contract: keep them stable
- * across PRs so the trajectory stays comparable, and only record
- * numbers whose regressions are meaningful (throughputs, speedups).
+ * across PRs so the trajectory stays comparable, and only gate
+ * numbers whose regressions are meaningful (throughputs). A metric
+ * recorded with trajectory() carries "gated": false: the checker
+ * prints it but never fails on it (a ratio whose two sides are
+ * gated on their own, where a speedup of the denominator would
+ * read as a regression).
  */
 class JsonReport
 {
@@ -122,7 +126,16 @@ class JsonReport
     metric(const std::string &name, double value,
            const std::string &unit, bool higher_is_better = true)
     {
-        metrics.push_back({name, unit, value, higher_is_better});
+        metrics.push_back({name, unit, value, higher_is_better, true});
+    }
+
+    /** Record one ungated (trajectory-only) numeric result. */
+    void
+    trajectory(const std::string &name, double value,
+               const std::string &unit, bool higher_is_better = true)
+    {
+        metrics.push_back(
+            {name, unit, value, higher_is_better, false});
     }
 
     /** Write the report; returns false (with a message) on failure. */
@@ -147,6 +160,8 @@ class JsonReport
             w.key("value").valueDouble(m.value, "%.6g");
             w.key("unit").value(m.unit);
             w.key("higher_is_better").valueBool(m.higherIsBetter);
+            if (!m.gated)
+                w.key("gated").valueBool(false);
             w.endObject();
         }
         w.endArray();
@@ -178,6 +193,7 @@ class JsonReport
         std::string unit;
         double value;
         bool higherIsBetter;
+        bool gated;
     };
 
     std::string bench;

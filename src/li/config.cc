@@ -113,8 +113,10 @@ Config::getInt(const std::string &key, long def) const
         return def;
     char *end = nullptr;
     errno = 0;
-    long v = std::strtol(it->second.c_str(), &end, 0);
-    if (end == nullptr || *end != '\0')
+    const char *text = it->second.c_str();
+    long v = std::strtol(text, &end, 0);
+    // An empty value consumes nothing and would read as 0.
+    if (end == nullptr || end == text || *end != '\0')
         wilis_fatal("config key '%s': '%s' is not an integer",
                     key.c_str(), it->second.c_str());
     if (errno == ERANGE)
@@ -132,11 +134,11 @@ Config::getUint64(const std::string &key, std::uint64_t def) const
     char *end = nullptr;
     errno = 0;
     // strtoull would silently wrap a leading minus sign.
-    unsigned long long v =
-        it->second.find('-') == std::string::npos
-            ? std::strtoull(it->second.c_str(), &end, 0)
-            : 0;
-    if (end == nullptr || *end != '\0')
+    const char *text = it->second.c_str();
+    unsigned long long v = it->second.find('-') == std::string::npos
+                               ? std::strtoull(text, &end, 0)
+                               : 0;
+    if (end == nullptr || end == text || *end != '\0')
         wilis_fatal("config key '%s': '%s' is not an unsigned "
                     "integer", key.c_str(), it->second.c_str());
     if (errno == ERANGE)
@@ -152,9 +154,14 @@ Config::getDouble(const std::string &key, double def) const
     if (it == kv.end())
         return def;
     char *end = nullptr;
-    double v = std::strtod(it->second.c_str(), &end);
-    if (end == nullptr || *end != '\0')
+    errno = 0;
+    const char *text = it->second.c_str();
+    double v = std::strtod(text, &end);
+    if (end == nullptr || end == text || *end != '\0')
         wilis_fatal("config key '%s': '%s' is not a number",
+                    key.c_str(), it->second.c_str());
+    if (errno == ERANGE)
+        wilis_fatal("config key '%s': '%s' is out of range",
                     key.c_str(), it->second.c_str());
     return v;
 }

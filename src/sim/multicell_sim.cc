@@ -26,6 +26,7 @@
 #include <cmath>
 #include <complex>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "channel/awgn.hh"
@@ -85,19 +86,6 @@ struct McSoaCache {
     // ---- flattened calibration (analytic/auto modes only)
     softphy::FlatCalibration flat;
     bool hasFlat = false;
-
-    // Cross-run memo of the serving-link |h|^2 per (slot, user):
-    // JakesFader::gainAt() is a pure function of (fader, t), so a
-    // value computed in one run is valid in every later run of the
-    // same spec -- memoization cannot change results. Filled lazily
-    // (PF evaluates only eligible users); bounded by kH2MemoBytes,
-    // slots past h2Slots fall back to the per-run memo. Within a
-    // run each user's entries are written by the one worker that
-    // owns its cell, so access is race-free.
-    static constexpr std::uint64_t kH2MemoBytes = 64ull << 20;
-    std::uint64_t h2Slots = 0;      // slots covered by the memo
-    std::vector<double> h2;         // [slot * users + user]
-    std::vector<std::uint8_t> h2Known;
 };
 
 namespace {
@@ -407,21 +395,6 @@ runMulticellNetwork(
     if (!slot || !cacheMatches(*slot, spec, topo, table))
         slot = buildCache(spec, topo, table);
     McSoaCache &cache = *slot;
-    // Grow the cross-run |h|^2 memo to cover this run (bounded);
-    // resize preserves filled slots because the layout is
-    // slot-major.
-    {
-        const std::uint64_t users64 =
-            static_cast<std::uint64_t>(topo.numUsers());
-        const std::uint64_t cap = std::max<std::uint64_t>(
-            1, McSoaCache::kH2MemoBytes / (8 * users64));
-        const std::uint64_t want = std::min(slots, cap);
-        if (want > cache.h2Slots) {
-            cache.h2.resize(want * users64);
-            cache.h2Known.resize(want * users64, 0);
-            cache.h2Slots = want;
-        }
-    }
     const kernels::PerTableView flat_view =
         cache.hasFlat ? cache.flat.view() : kernels::PerTableView{};
 
@@ -509,28 +482,18 @@ runMulticellNetwork(
             members[static_cast<size_t>(c)].push_back(i);
     }
 
-    // Serving-link |h|^2 memo (per user, per slot) past the
-    // cross-run memo's horizon.
+    // Serving-link |h|^2 memo (per user, current slot): PF (phase
+    // 1) and the granted user's frame (phase 2) read the same
+    // value in one slot, so it is evaluated once.
+    // No slot reaches the sentinel: t < slots <= UINT64_MAX.
     std::vector<double> h2val(nu, 0.0);
-    std::vector<std::uint64_t> h2slot(nu, 0);
-    std::vector<std::uint8_t> h2valid(nu, 0);
+    std::vector<std::uint64_t> h2slot(nu, UINT64_MAX);
     auto fadingPower = [&](int i, std::uint64_t t) {
         const size_t s = static_cast<size_t>(i);
-        if (t < cache.h2Slots) {
-            const size_t e = static_cast<size_t>(t) * nu + s;
-            if (!cache.h2Known[e]) {
-                cache.h2[e] = std::norm(cache.faders[s].gainAt(
-                    static_cast<double>(t) *
-                    spec.frameIntervalUs));
-                cache.h2Known[e] = 1;
-            }
-            return cache.h2[e];
-        }
-        if (h2slot[s] != t || !h2valid[s]) {
+        if (h2slot[s] != t) {
             h2val[s] = std::norm(cache.faders[s].gainAt(
                 static_cast<double>(t) * spec.frameIntervalUs));
             h2slot[s] = t;
-            h2valid[s] = 1;
         }
         return h2val[s];
     };
@@ -945,7 +908,7 @@ runMulticellNetwork(
             st.preHoSlots = slots;
         }
         st.postHoSlots = slots - st.preHoSlots;
-        res.users[static_cast<size_t>(id)] = st;
+        res.users[static_cast<size_t>(id)] = std::move(st);
     }
 
     detail::finishResult(res, trace);

@@ -61,7 +61,9 @@ namespace sim {
  * function of (spec, topology, table) and therefore identical for
  * every run() of the same NetworkSim. Owned by NetworkSim (opaque
  * here; defined in multicell_sim.cc) so repeated runs skip the
- * rederivation; caching cannot change results.
+ * rederivation; caching cannot change results. Its size depends
+ * on the deployment only, never on the horizon: nothing
+ * slot-indexed is kept across runs.
  */
 struct McSoaCache;
 

@@ -5,6 +5,7 @@
 #include <complex>
 #include <memory>
 #include <optional>
+#include <utility>
 
 #include "channel/fading.hh"
 #include "common/kernels.hh"
@@ -353,7 +354,7 @@ NetworkSim::run(std::uint64_t slots, int threads)
         // No mobility on the single-cell timeline: the whole run is
         // "before the first handover".
         st.preHoSlots = slots;
-        res.users[static_cast<size_t>(u)] = st;
+        res.users[static_cast<size_t>(u)] = std::move(st);
         phy_pool.release(std::move(phy));
     };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <climits>
-#include <cstdio>
 #include <map>
 #include <set>
 
@@ -139,6 +138,35 @@ rangedKey(const li::Config &cfg, const char *key, long def, long lo,
                     cfg.getString(key, std::to_string(def)).c_str(),
                     lo, hi);
     return v;
+}
+
+/** Largest side of a cells=RxC grid: rows * cols must fit an int. */
+constexpr long kMaxGridSide = 46340;
+
+/**
+ * One side (@p side, "rows" or "cols") of the cells=RxC value
+ * @p grid: @p text must be digits only, and its value is checked
+ * against [1, kMaxGridSide] before it is narrowed.
+ */
+int
+gridSide(const std::string &grid, const std::string &text,
+         const char *side)
+{
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string::npos)
+        wilis_fatal("malformed cells '%s' (expected RxC, "
+                    "e.g. cells=3x3)",
+                    grid.c_str());
+    long v = 0;
+    for (char ch : text) {
+        v = v * 10 + (ch - '0');
+        if (v > kMaxGridSide)
+            break; // out of range already; stop before overflow
+    }
+    if (v < 1 || v > kMaxGridSide)
+        wilis_fatal("key 'cells' = %s: %s %s outside [1, %ld]",
+                    grid.c_str(), side, text.c_str(), kMaxGridSide);
+    return static_cast<int>(v);
 }
 
 std::vector<std::string>
@@ -530,17 +558,13 @@ NetworkSpec::applyConfig(const li::Config &cfg)
 
     if (cfg.has("cells")) {
         const std::string grid = cfg.getString("cells");
-        int rows = 0;
-        int cols = 0;
-        char tail = '\0';
-        if (std::sscanf(grid.c_str(), "%dx%d%c", &rows, &cols,
-                        &tail) != 2 ||
-            rows < 1 || cols < 1)
+        const size_t x = grid.find('x');
+        if (x == std::string::npos)
             wilis_fatal("malformed cells '%s' (expected RxC, "
                         "e.g. cells=3x3)",
                         grid.c_str());
-        topology.rows = rows;
-        topology.cols = cols;
+        topology.rows = gridSide(grid, grid.substr(0, x), "rows");
+        topology.cols = gridSide(grid, grid.substr(x + 1), "cols");
     }
     topology.cellSpacingM =
         cfg.getDouble("cell_spacing_m", topology.cellSpacingM);

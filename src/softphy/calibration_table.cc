@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -27,6 +28,32 @@ clampPber(double pber)
     if (pber > 1.0)
         return 1.0;
     return pber;
+}
+
+/** Largest num_bins a table may declare; bounds the cell allocation. */
+constexpr int kMaxBins = 4096;
+
+/**
+ * Read one whitespace-separated value per field from @p ls, which
+ * must then be exhausted. A leading minus sign on an unsigned field
+ * is rejected rather than wrapped.
+ */
+template <typename... T>
+bool
+readFields(std::istringstream &ls, T &...fields)
+{
+    auto one = [&ls](auto &v) {
+        ls >> std::ws;
+        if constexpr (std::is_unsigned_v<std::decay_t<decltype(v)>>) {
+            if (ls.peek() == '-')
+                return false;
+        }
+        return static_cast<bool>(ls >> v);
+    };
+    if (!(one(fields) && ...))
+        return false;
+    ls >> std::ws;
+    return ls.eof();
 }
 
 } // namespace
@@ -300,7 +327,8 @@ CalibrationTable::serialize() const
 }
 
 CalibrationTable
-CalibrationTable::parse(const std::string &text)
+CalibrationTable::parse(const std::string &text,
+                        const std::string &source)
 {
     CalibrationTable t;
     int num_rates = 0;
@@ -309,51 +337,68 @@ CalibrationTable::parse(const std::string &text)
     std::vector<bool> seen;
     std::istringstream in(text);
     std::string line;
+    int lineno = 0;
+    // Every input error is fatal and names the source and line;
+    // errors found at the end name the last line read.
+    auto fail = [&](const std::string &why) {
+        wilis_fatal("calibration table %s:%d: %s", source.c_str(),
+                    lineno, why.c_str());
+    };
     while (std::getline(in, line)) {
+        ++lineno;
         if (line.empty() || line[0] == '#')
             continue;
         std::istringstream ls(line);
         std::string key;
         ls >> key;
+        auto read = [&](auto &...fields) {
+            if (!readFields(ls, fields...))
+                fail(strprintf("malformed '%s' line '%s'", key.c_str(),
+                               line.c_str()));
+        };
         if (key == "version") {
-            ls >> version;
-            wilis_assert(version == 1,
-                         "unsupported calibration table version %d",
-                         version);
+            read(version);
+            if (version != 1)
+                fail(strprintf("unsupported version %d", version));
         } else if (key == "channel") {
-            ls >> t.channel_;
+            read(t.channel_);
         } else if (key == "decoder") {
-            ls >> t.decoder_;
+            read(t.decoder_);
         } else if (key == "soft_width") {
-            ls >> t.soft_width_;
+            read(t.soft_width_);
         } else if (key == "payload_bits") {
-            ls >> t.payload_bits_;
+            read(t.payload_bits_);
         } else if (key == "packets_per_cell") {
-            ls >> t.packets_;
+            read(t.packets_);
         } else if (key == "seed") {
-            ls >> t.seed_;
+            read(t.seed_);
         } else if (key == "snr_lo_db") {
-            ls >> t.snr_lo_;
+            read(t.snr_lo_);
         } else if (key == "snr_step_db") {
-            ls >> t.snr_step_;
-            wilis_assert(t.snr_step_ > 0.0,
-                         "calibration table needs a positive SNR "
-                         "step, got %g",
-                         t.snr_step_);
+            read(t.snr_step_);
+            if (!(t.snr_step_ > 0.0))
+                fail(strprintf("needs a positive SNR step, got %g",
+                               t.snr_step_));
         } else if (key == "num_bins") {
             // The cells vector is sized from this value at the
             // first 'cell' line; changing it afterwards would let
             // later bounds checks pass against a stale allocation.
-            wilis_assert(t.cells.empty(),
-                         "calibration table geometry after cells");
-            ls >> t.num_bins_;
+            if (!t.cells.empty())
+                fail("table geometry after cells");
+            read(t.num_bins_);
+            if (t.num_bins_ < 1 || t.num_bins_ > kMaxBins)
+                fail(strprintf("num_bins %d outside [1, %d]",
+                               t.num_bins_, kMaxBins));
         } else if (key == "num_rates") {
-            wilis_assert(t.cells.empty(),
-                         "calibration table geometry after cells");
-            ls >> num_rates;
+            if (!t.cells.empty())
+                fail("table geometry after cells");
+            read(num_rates);
+            if (num_rates != phy::kNumRates)
+                fail(strprintf("covers %d rates, need %d", num_rates,
+                               phy::kNumRates));
         } else if (key == "cell") {
-            wilis_assert(t.num_bins_ > 0 && num_rates > 0,
-                         "calibration cell before table geometry");
+            if (t.num_bins_ <= 0 || num_rates <= 0)
+                fail("cell before table geometry");
             if (t.cells.empty()) {
                 t.cells.assign(static_cast<size_t>(phy::kNumRates) *
                                    static_cast<size_t>(t.num_bins_),
@@ -363,20 +408,17 @@ CalibrationTable::parse(const std::string &text)
             int rate = -1, bin = -1;
             unsigned long long frames = 0, ok = 0;
             CalibrationCell c;
-            ls >> rate >> bin >> frames >> ok >> c.sumPber >>
-                c.sumLogPberOk >> c.sumLogPberBad;
-            wilis_assert(!ls.fail(),
-                         "malformed calibration cell line '%s'",
-                         line.c_str());
-            wilis_assert(rate >= 0 && rate < phy::kNumRates &&
-                             bin >= 0 && bin < t.num_bins_,
-                         "calibration cell (%d, %d) out of range",
-                         rate, bin);
+            read(rate, bin, frames, ok, c.sumPber, c.sumLogPberOk,
+                 c.sumLogPberBad);
+            if (rate < 0 || rate >= phy::kNumRates || bin < 0 ||
+                bin >= t.num_bins_)
+                fail(strprintf("cell (%d, %d) out of range", rate,
+                               bin));
             c.frames = frames;
             c.ok = ok;
-            wilis_assert(c.ok <= c.frames,
-                         "calibration cell (%d, %d): ok > frames",
-                         rate, bin);
+            if (c.ok > c.frames)
+                fail(strprintf("cell (%d, %d): ok > frames", rate,
+                               bin));
             // Duplicates must not count toward completeness, or a
             // repeated line could mask a missing (empty, PER ~ 1)
             // cell.
@@ -384,31 +426,29 @@ CalibrationTable::parse(const std::string &text)
                 static_cast<size_t>(rate) *
                     static_cast<size_t>(t.num_bins_) +
                 static_cast<size_t>(bin);
-            wilis_assert(!seen[idx],
-                         "duplicate calibration cell (%d, %d)", rate,
-                         bin);
+            if (seen[idx])
+                fail(strprintf("duplicate cell (%d, %d)", rate, bin));
             seen[idx] = true;
             t.cellAt(rate, bin) = c;
             ++cells_seen;
         } else {
-            wilis_fatal("unknown calibration table key '%s'",
-                        key.c_str());
+            fail(strprintf("unknown key '%s'", key.c_str()));
         }
     }
-    wilis_assert(version == 1, "missing calibration table version");
-    wilis_assert(t.num_bins_ >= 1 && t.snr_step_ > 0.0,
-                 "calibration table has no usable SNR geometry");
-    wilis_assert(num_rates == phy::kNumRates,
-                 "calibration table covers %d rates, need %d",
-                 num_rates, phy::kNumRates);
-    wilis_assert(cells_seen ==
-                     static_cast<std::uint64_t>(phy::kNumRates) *
-                         static_cast<std::uint64_t>(t.num_bins_),
-                 "calibration table is missing cells (%llu of %llu)",
-                 static_cast<unsigned long long>(cells_seen),
-                 static_cast<unsigned long long>(
-                     static_cast<std::uint64_t>(phy::kNumRates) *
-                     static_cast<std::uint64_t>(t.num_bins_)));
+    if (version != 1)
+        fail("missing version");
+    if (t.num_bins_ < 1 || !(t.snr_step_ > 0.0))
+        fail("no usable SNR geometry");
+    if (num_rates != phy::kNumRates)
+        fail(strprintf("covers %d rates, need %d", num_rates,
+                       phy::kNumRates));
+    const std::uint64_t want_cells =
+        static_cast<std::uint64_t>(phy::kNumRates) *
+        static_cast<std::uint64_t>(t.num_bins_);
+    if (cells_seen != want_cells)
+        fail(strprintf("missing cells (%llu of %llu)",
+                       static_cast<unsigned long long>(cells_seen),
+                       static_cast<unsigned long long>(want_cells)));
     return t;
 }
 
@@ -416,23 +456,25 @@ void
 CalibrationTable::save(const std::string &path) const
 {
     std::ofstream out(path);
-    wilis_assert(out.good(), "cannot write calibration table to %s",
-                 path.c_str());
+    if (!out.good())
+        wilis_fatal("cannot write calibration table to %s",
+                    path.c_str());
     out << serialize();
     out.close();
-    wilis_assert(out.good(), "short write saving calibration table %s",
-                 path.c_str());
+    if (!out.good())
+        wilis_fatal("short write saving calibration table %s",
+                    path.c_str());
 }
 
 CalibrationTable
 CalibrationTable::load(const std::string &path)
 {
     std::ifstream in(path);
-    wilis_assert(in.good(), "cannot read calibration table %s",
-                 path.c_str());
+    if (!in.good())
+        wilis_fatal("cannot read calibration table %s", path.c_str());
     std::ostringstream buf;
     buf << in.rdbuf();
-    return parse(buf.str());
+    return parse(buf.str(), path);
 }
 
 } // namespace softphy

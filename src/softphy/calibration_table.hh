@@ -205,8 +205,12 @@ class CalibrationTable
     /** Serialize to the versioned text format (round-trips). */
     std::string serialize() const;
 
-    /** Parse a serialized table; fatal on malformed input. */
-    static CalibrationTable parse(const std::string &text);
+    /**
+     * Parse a serialized table; fatal on malformed input, naming
+     * @p source (the file, for load()) and the offending line.
+     */
+    static CalibrationTable parse(const std::string &text,
+                                  const std::string &source = "<text>");
 
     /** Write serialize() to @p path; fatal on I/O failure. */
     void save(const std::string &path) const;

@@ -1,8 +1,9 @@
 /**
  * @file
- * End-to-end checks of the wilis_cli binary's argument handling:
- * --help and -h print the usage text and exit 0 instead of being
- * read as a config-file path.
+ * End-to-end checks of the CLI binaries' argument handling:
+ * wilis_cli's --help and -h print the usage text and exit 0 instead
+ * of being read as a config-file path, and a malformed spec value
+ * makes network_sim fail with a located error.
  */
 
 #include <gtest/gtest.h>
@@ -14,12 +15,11 @@
 
 namespace {
 
-/** Run wilis_cli with @p args; returns stdout + stderr, sets status. */
+/** Run @p bin with @p args; returns stdout + stderr, sets status. */
 std::string
-runCli(const std::string &args, int *status)
+runBinary(const char *bin, const std::string &args, int *status)
 {
-    const std::string cmd =
-        std::string(WILIS_CLI_BIN) + " " + args + " 2>&1";
+    const std::string cmd = std::string(bin) + " " + args + " 2>&1";
     FILE *p = popen(cmd.c_str(), "r");
     EXPECT_NE(p, nullptr) << cmd;
     std::string out;
@@ -31,6 +31,13 @@ runCli(const std::string &args, int *status)
         out.append(buf, n);
     *status = pclose(p);
     return out;
+}
+
+/** Run wilis_cli with @p args; returns stdout + stderr, sets status. */
+std::string
+runCli(const std::string &args, int *status)
+{
+    return runBinary(WILIS_CLI_BIN, args, status);
 }
 
 } // namespace
@@ -68,4 +75,16 @@ TEST(WilisCli, MissingConfigFileIsStillAnError)
     EXPECT_EQ(WEXITSTATUS(status), 1) << out;
     EXPECT_NE(out.find("cannot open config file"), std::string::npos)
         << out;
+}
+
+TEST(NetworkSimCli, EmptyNumericSpecValuesAreErrors)
+{
+    // An empty value used to read as 0 (seed 0, no ACK delay).
+    int status = -1;
+    const std::string out = runBinary(
+        WILIS_NETWORK_SIM_BIN, "cell-16,net_seed=,ack_delay= 2 1",
+        &status);
+    ASSERT_TRUE(WIFEXITED(status)) << out;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << out;
+    EXPECT_NE(out.find("config key '"), std::string::npos) << out;
 }

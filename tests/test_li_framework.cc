@@ -139,6 +139,34 @@ TEST(Config, ParseStringAndTypes)
     EXPECT_FALSE(cfg.has("missing"));
 }
 
+TEST(Config, EmptyNumericValuesAreErrors)
+{
+    // strto* consume nothing on an empty value; it must not read
+    // as 0.
+    const Config cfg = Config::fromString("a=,b= ");
+    EXPECT_DEATH(cfg.getInt("a", 1),
+                 "config key 'a': '' is not an integer");
+    EXPECT_DEATH(cfg.getInt("b", 1),
+                 "config key 'b': '' is not an integer");
+    EXPECT_DEATH(cfg.getUint64("a", 1),
+                 "config key 'a': '' is not an unsigned integer");
+    EXPECT_DEATH(cfg.getDouble("a", 1.0),
+                 "config key 'a': '' is not a number");
+}
+
+TEST(Config, OutOfRangeDoublesAreErrors)
+{
+    const Config cfg = Config::fromString(
+        "big=1e999,neg=-1e999,tiny=1e-999,ok=1e300");
+    EXPECT_DEATH(cfg.getDouble("big", 0.0),
+                 "config key 'big': '1e999' is out of range");
+    EXPECT_DEATH(cfg.getDouble("neg", 0.0),
+                 "config key 'neg': '-1e999' is out of range");
+    EXPECT_DEATH(cfg.getDouble("tiny", 0.0),
+                 "config key 'tiny': '1e-999' is out of range");
+    EXPECT_DOUBLE_EQ(cfg.getDouble("ok", 0.0), 1e300);
+}
+
 TEST(LiPipeline, TokensArriveInOrderAndIntact)
 {
     Scheduler sched;

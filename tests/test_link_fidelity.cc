@@ -11,8 +11,9 @@
  *  - bit-identical results at 1/2/8 worker threads in `auto` mode
  *    (the mixed-fidelity schedule must be a pure function of the
  *    slot index, never of the sharding);
- *  - the NetworkSpec fidelity-key config round-trip and the
- *    calibration table serialize/parse round-trip.
+ *  - the NetworkSpec fidelity-key config round-trip, the
+ *    calibration table serialize/parse round-trip, and located
+ *    errors (exit 1, file:line) for truncated table files.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +21,11 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/kernels.hh"
@@ -184,6 +189,96 @@ TEST(CalibrationTable, SerializeParseRoundTripsExactly)
             EXPECT_EQ(a.sumLogPberBad, c.sumLogPberBad);
         }
     }
+}
+
+namespace {
+
+std::string
+committedTablePath()
+{
+    return std::string(WILIS_SOURCE_DIR) +
+           "/data/network_calibration.txt";
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+/** Byte offset of the start of 1-based line @p line of @p text. */
+size_t
+lineStart(const std::string &text, int line)
+{
+    size_t at = 0;
+    for (int l = 1; l < line; ++l)
+        at = text.find('\n', at) + 1;
+    return at;
+}
+
+} // namespace
+
+TEST(CalibrationTable, CommittedTableRoundTripsByteForByte)
+{
+    const std::string path = committedTablePath();
+    EXPECT_EQ(softphy::CalibrationTable::load(path).serialize(),
+              readFile(path));
+}
+
+// A truncated or damaged table is an input error: exit 1 with the
+// file and line, never an abort. The committed table has its header
+// on lines 1-12 and its 152 cells on lines 13-164.
+TEST(CalibrationTable, TruncatedTablesAreLocatedErrors)
+{
+    const std::string text = readFile(committedTablePath());
+    ASSERT_EQ(text.substr(lineStart(text, 11), 9), "num_bins ");
+    ASSERT_EQ(text.substr(lineStart(text, 13), 5), "cell ");
+    ASSERT_EQ(lineStart(text, 165), text.size());
+    // Offset just past the @p n-th space of line @p line.
+    auto afterField = [&](int line, int n) {
+        size_t at = lineStart(text, line);
+        for (int i = 0; i < n; ++i)
+            at = text.find(' ', at) + 1;
+        return at;
+    };
+    const struct {
+        const char *what;
+        std::string content;
+        const char *error;
+    } cases[] = {
+        {"header key cut", text.substr(0, lineStart(text, 7) + 7),
+         ":7: unknown key 'packets'"},
+        {"header value cut", text.substr(0, afterField(11, 1)),
+         ":11: malformed 'num_bins' line 'num_bins '"},
+        {"header only", text.substr(0, lineStart(text, 13)),
+         ":12: missing cells \\(0 of 152\\)"},
+        {"mid-cell", text.substr(0, afterField(50, 4)),
+         ":50: malformed 'cell' line"},
+        {"at a cell boundary", text.substr(0, lineStart(text, 81)),
+         ":80: missing cells \\(68 of 152\\)"},
+        {"last cell cut", text.substr(0, afterField(164, 7)),
+         ":164: malformed 'cell' line"},
+        {"after the last cell", text + "cell 7",
+         ":165: malformed 'cell' line 'cell 7'"},
+        {"negative count", text + "cell 0 0 -1 0 0 0 0\n",
+         ":165: malformed 'cell' line"},
+    };
+    const std::string path =
+        ::testing::TempDir() + "wilis_calibration_cut.txt";
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.what);
+        {
+            std::ofstream out(path);
+            out << c.content;
+        }
+        EXPECT_EXIT(softphy::CalibrationTable::load(path),
+                    ::testing::ExitedWithCode(1),
+                    std::string("wilis_calibration_cut.txt") + c.error);
+    }
+    std::remove(path.c_str());
 }
 
 // ------------------------------------------- batched draw kernel

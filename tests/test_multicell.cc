@@ -304,6 +304,33 @@ TEST(Multicell, SoaCacheReuseDoesNotChangeResults)
     EXPECT_EQ(statsHash(cold), statsHash(warm));
 }
 
+TEST(Multicell, SoaCacheReuseAcrossHorizons)
+{
+    // A reused cache must not carry anything slot-indexed from an
+    // earlier run: a shorter and then a longer horizon on one
+    // NetworkSim each match a fresh simulator's run of that
+    // horizon, with and without mobility.
+    for (const char *preset : {"grid-3x3", "urban-mobile"}) {
+        const NetworkSpec spec = calibrated(preset);
+        for (int threads : {1, 4}) {
+            SCOPED_TRACE(std::string(preset) + " threads " +
+                         std::to_string(threads));
+            auto fresh = [&](std::uint64_t slots) {
+                return statsHash(NetworkSim(spec).run(slots, threads));
+            };
+            const std::vector<std::vector<std::uint64_t>> sequences =
+                {{200, 100}, {100, 300}};
+            for (const std::vector<std::uint64_t> &seq : sequences) {
+                NetworkSim sim(spec);
+                for (std::uint64_t slots : seq)
+                    EXPECT_EQ(statsHash(sim.run(slots, threads)),
+                              fresh(slots))
+                        << slots << " slots";
+            }
+        }
+    }
+}
+
 // ------------------------------------------------ engine behavior
 
 TEST(Multicell, SchedulerArbitratesOneGrantPerCellPerSlot)

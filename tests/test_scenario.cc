@@ -238,6 +238,39 @@ TEST(NetworkSpecStrict, RejectsMalformedValues)
                  "control_rate must be >= 0");
 }
 
+// cells=RxC is digits-only on each side, range-checked before it
+// is narrowed, with nothing after the columns.
+TEST(NetworkSpecStrict, RejectsMalformedOrOutOfRangeCellGrids)
+{
+    const struct {
+        const char *cells;
+        const char *error;
+    } cases[] = {
+        {"4294967297x1", "key 'cells' = 4294967297x1: rows 4294967297 outside"},
+        {"1x4294967297", "key 'cells' = 1x4294967297: cols 4294967297 outside"},
+        {"46341x1", "key 'cells' = 46341x1: rows 46341 outside \\[1, 46340\\]"},
+        {"0x3", "key 'cells' = 0x3: rows 0 outside"},
+        {"3x0", "key 'cells' = 3x0: cols 0 outside"},
+        {"3x", "malformed cells '3x'"},
+        {"x3", "malformed cells 'x3'"},
+        {"3x3x", "malformed cells '3x3x'"},
+        {"-1x3", "malformed cells '-1x3'"},
+        {"+1x3", "malformed cells '\\+1x3'"},
+        {"3x 3", "malformed cells '3x 3'"},
+        {"3X3", "malformed cells '3X3'"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.cells);
+        EXPECT_DEATH(NetworkSpec::fromConfig(li::Config::fromString(
+                         std::string("cells=") + c.cells)),
+                     c.error);
+    }
+    const NetworkSpec edge =
+        NetworkSpec::fromConfig(li::Config::fromString("cells=46340x1"));
+    EXPECT_EQ(edge.topology.rows, 46340);
+    EXPECT_EQ(edge.topology.cols, 1);
+}
+
 TEST(NetworkSpecStrict, RejectsOutOfRangeIntegerKeys)
 {
     const struct {

@@ -23,9 +23,13 @@ when it is next regenerated. A metric whose *baseline value* is zero
 carries no regression information in either direction (any ratio is
 infinite), so it is skipped with a loud warning instead of
 hard-failing lower-is-better metrics -- regenerate the baseline to
-clear the warning. Baselines are regenerated by re-running the bench
-with the same WILIS_BENCH_SCALE / backend meta recorded in the report
-and committing the output (see README "Refreshing the baselines").
+clear the warning. A metric marked `"gated": false` in either report
+is trajectory only: it is printed, but it never fails the check (not
+even when it vanishes). Benches mark ratios whose two sides are gated
+on their own this way. Baselines are regenerated by re-running the
+bench with the same WILIS_BENCH_SCALE / backend meta recorded in the
+report and committing the output (see README "Refreshing the
+baselines").
 """
 
 import argparse
@@ -63,6 +67,7 @@ def doc_metrics(doc):
             float(m["value"]),
             m.get("unit", ""),
             bool(m.get("higher_is_better", True)),
+            bool(m.get("gated", True)),
         )
     return metrics
 
@@ -100,7 +105,15 @@ def compare(base_doc, cur_doc, threshold, out=sys.stdout):
 
     print(f"{'metric':38s} {'baseline':>12s} {'current':>12s} "
           f"{'ratio':>8s}  status", file=out)
-    for name, (bval, unit, higher) in sorted(base.items()):
+    for name, (bval, unit, higher, gated) in sorted(base.items()):
+        if not gated or (name in cur and not cur[name][3]):
+            # Trajectory only: shown for the record, never a verdict.
+            cval = (f"{cur[name][0]:12.4g}" if name in cur
+                    else f"{'MISSING':>12s}")
+            print(f"{name:38s} {bval:12.4g} {cval} "
+                  f"{'-':>8s}  trajectory (not gated) [{unit}]",
+                  file=out)
+            continue
         if name not in cur:
             failures.append(name)
             print(f"{name:38s} {bval:12.4g} {'MISSING':>12s} "
@@ -151,13 +164,14 @@ def self_test():
     """In-process checks of the comparison logic (run in CI)."""
     import io
 
-    def doc(metrics, bench="b", meta=None):
+    def doc(metrics, bench="b", meta=None, ungated=()):
         return {
             "bench": bench,
             "meta": meta or {},
             "metrics": [
-                {"name": n, "value": v, "unit": "u",
-                 "higher_is_better": h}
+                dict({"name": n, "value": v, "unit": "u",
+                      "higher_is_better": h},
+                     **({"gated": False} if n in ungated else {}))
                 for n, v, h in metrics
             ],
         }
@@ -211,6 +225,41 @@ def self_test():
                    0.25, out)
     check("throughput drop fails despite improved latency",
           f == ["uslots_dense10k_soa"])
+
+    # An ungated ratio (the analytic/full speedups, whose two sides
+    # are gated on their own) is printed but never fails: not when
+    # it drops, not when it vanishes, and not when only the current
+    # report -- the bench that now emits the flag -- marks it.
+    ratio_base = doc([("uslots_full", 3.5e4, True),
+                      ("speedup_analytic", 100.0, True)],
+                     ungated=("speedup_analytic",))
+    buf = io.StringIO()
+    f, s = compare(ratio_base,
+                   doc([("uslots_full", 3.6e4, True),
+                        ("speedup_analytic", 20.0, True)],
+                       ungated=("speedup_analytic",)),
+                   0.25, buf)
+    check("ungated ratio drop does not fail", (f, s) == ([], []))
+    check("ungated ratio is printed as trajectory",
+          "trajectory (not gated)" in buf.getvalue())
+    f, s = compare(ratio_base, doc([("uslots_full", 3.6e4, True)]),
+                   0.25, out)
+    check("vanished ungated metric does not fail", (f, s) == ([], []))
+    f, s = compare(doc([("speedup_analytic", 100.0, True)]),
+                   doc([("speedup_analytic", 20.0, True)],
+                       ungated=("speedup_analytic",)),
+                   0.25, out)
+    check("current report's gated:false is honoured",
+          (f, s) == ([], []))
+    # The flag is per metric: a gated throughput next to an ungated
+    # ratio still fails on its own regression.
+    f, s = compare(ratio_base,
+                   doc([("uslots_full", 1.0e4, True),
+                        ("speedup_analytic", 100.0, True)],
+                       ungated=("speedup_analytic",)),
+                   0.25, out)
+    check("gated metric beside an ungated one still fails",
+          f == ["uslots_full"])
 
     # Vanished metric: fails.
     f, s = compare(doc([("gone", 1.0, True)]), doc([]), 0.25, out)
@@ -330,7 +379,8 @@ def main():
         print(f"\n{len(failures)} metric(s) regressed beyond "
               f"{args.threshold:.0%} vs {args.baseline}")
         return 1
-    n = len(doc_metrics(base_doc)) - len(skipped)
+    gated = [v for v in doc_metrics(base_doc).values() if v[3]]
+    n = len(gated) - len(skipped)
     print(f"\nall {n} comparable baseline metric(s) within "
           f"{args.threshold:.0%}")
     return 0
