@@ -11,6 +11,10 @@
  *    10k+-user deployment on the calibrated analytic rung. The
  *    bench fails below 3M user-slots/sec (user-slots = users x
  *    simulated slots, the timeline coverage per wall-clock second).
+ *  - dense-urban-10k cold construction -- Topology, the SoA cache
+ *    and one slot of a fresh NetworkSim at 1 and 4 threads: the
+ *    seconds are trajectory, the parallel efficiency
+ *    (t1 / t4) / min(4, cores) is gated.
  *  - urban-mobile mobility -- the waypoint-mobility preset with A3
  *    handover and session churn: throughput of the mobile
  *    deployment plus the deterministic handover / ping-pong
@@ -27,14 +31,17 @@
  * data/network_calibration.txt).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <thread>
 
 #include "bench/bench_util.hh"
 #include "common/cpu_features.hh"
 #include "common/kernels.hh"
 #include "common/logging.hh"
 #include "sim/network_sim.hh"
+#include "softphy/calibration_table.hh"
 
 using namespace wilis;
 
@@ -191,6 +198,50 @@ main(int argc, char **argv)
                                  "packets\n");
             ++failures;
         }
+    }
+
+    // ---- dense-urban-10k: cold construction, 1 vs 4 threads ------
+    bench::banner("dense-urban-10k cold construction: 1 vs 4 threads");
+    {
+        // What a fresh CLI or campaign process pays before its
+        // second slot: the gain matrix, the SoA cache, the run state
+        // and one slot, on a new NetworkSim each rep. The table is
+        // loaded once outside the timed region. Fastest of five
+        // reps per width, so a preempted rep does not count.
+        const sim::NetworkSpec spec =
+            sim::networkPreset("dense-urban-10k");
+        const auto table =
+            std::make_shared<const softphy::CalibrationTable>(
+                softphy::CalibrationTable::load(spec.calibrationFile));
+        auto construct_secs = [&](int threads) {
+            double best = 0.0;
+            for (int rep = 0; rep < 5; ++rep) {
+                bench::Stopwatch timer;
+                sim::NetworkSim sim(spec, table, threads);
+                sim.run(1, threads);
+                const double secs = timer.seconds();
+                best = rep == 0 ? secs : std::min(best, secs);
+            }
+            return best;
+        };
+        const double t1 = construct_secs(1);
+        const double t4 = construct_secs(4);
+        const unsigned cores =
+            std::max(1u, std::thread::hardware_concurrency());
+        // Parallel efficiency against the cores the host can give,
+        // like pareff_grid3x3_*: comparable across hosts, where the
+        // raw seconds are not.
+        const double efficiency =
+            t1 / t4 / static_cast<double>(std::min(4u, cores));
+        report.trajectory("construct_dense10k_t1_s", t1, "s", false);
+        report.trajectory("construct_dense10k_t4_s", t4, "s", false);
+        report.metric("pareff_construct_dense10k_t4", efficiency,
+                      "fraction");
+        std::printf("%-8s %-12s\n", "threads", "seconds");
+        std::printf("%-8d %-12.4f\n", 1, t1);
+        std::printf("%-8d %-12.4f\n", 4, t4);
+        std::printf("parallel efficiency: %.2f (%u cores)\n",
+                    efficiency, cores);
     }
 
     // ---- urban-mobile: mobility, handover and churn --------------

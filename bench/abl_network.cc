@@ -107,9 +107,7 @@ main(int argc, char **argv)
     }
 
     // ---- fidelity A/B: equal cell, full vs analytic vs auto ------
-    bench::banner(
-        "fidelity A/B: 16 users, equal slots, full vs analytic "
-        "vs auto");
+    bench::banner("fidelity A/B: 16 users, full vs analytic vs auto");
     sim::NetworkSpec fspec = sim::networkPreset("cell-16");
     fspec.link.payloadBits = 600;
     fspec.snrSpreadDb = 8.0;
@@ -142,12 +140,18 @@ main(int argc, char **argv)
         // millisecond -- far inside timer noise -- so every mode
         // repeats its (deterministic, repeatable) run until the
         // measurement window is long enough to gate regressions on.
+        // The analytic rung also runs a 256x longer horizon: at
+        // fslots its run is shorter than spawning the run's worker
+        // threads, and its rate swung 2.3x between runs of the same
+        // code (within 15% at 256x).
+        const std::uint64_t run_slots =
+            mode == sim::FidelityMode::Analytic ? 256 * fslots : fslots;
         std::uint64_t frames_acc = 0;
         std::uint64_t full_acc = 0;
         double secs = 0.0;
         bench::Stopwatch timer;
         do {
-            sim::NetworkResult res = sim.run(fslots, 4);
+            sim::NetworkResult res = sim.run(run_slots, 4);
             frames_acc += res.aggregate.framesSent;
             full_acc += res.aggregate.fullPhyFrames;
             secs = timer.seconds();

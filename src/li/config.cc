@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -162,6 +163,12 @@ Config::getDouble(const std::string &key, double def) const
                     key.c_str(), it->second.c_str());
     if (errno == ERANGE)
         wilis_fatal("config key '%s': '%s' is out of range",
+                    key.c_str(), it->second.c_str());
+    // strtod also parses nan, inf and infinity; no key of this
+    // codebase means any of them, and a nan would flow silently
+    // through every comparison downstream.
+    if (!std::isfinite(v))
+        wilis_fatal("config key '%s': '%s' is not a finite number",
                     key.c_str(), it->second.c_str());
     return v;
 }

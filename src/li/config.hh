@@ -52,7 +52,10 @@ class Config
     std::uint64_t getUint64(const std::string &key,
                             std::uint64_t def = 0) const;
 
-    /** Double value or @p def; fatal on malformed numbers. */
+    /**
+     * Double value or @p def; fatal on malformed, out-of-range or
+     * non-finite (nan, inf) numbers.
+     */
     double getDouble(const std::string &key, double def = 0.0) const;
 
     /** Bool value ("1/true/yes/on") or @p def. */

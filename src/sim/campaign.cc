@@ -341,7 +341,7 @@ runNetworkRun(const RunRequest &req)
     NetworkSpec spec = req.spec;
     if (!req.traceFile.empty())
         spec.trace = true;
-    NetworkSim sim(spec);
+    NetworkSim sim(spec, nullptr, req.threads);
     NetworkResult res = sim.run(req.slots, req.threads);
     if (!req.traceFile.empty())
         res.trace->save(req.traceFile);
@@ -388,7 +388,7 @@ runCampaignShard(const RunRequest &req)
             table = sharedCalibration(spec);
             have_table = true;
         }
-        NetworkSim sim(spec, table);
+        NetworkSim sim(spec, table, req.threads);
         NetworkResult res = sim.run(req.slots, req.threads);
         if (!req.traceFile.empty())
             res.trace->save(req.traceFile);

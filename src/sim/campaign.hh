@@ -52,7 +52,10 @@ struct RunRequest {
     NetworkSpec spec;
     /** Frame slots per replication. */
     std::uint64_t slots = 120;
-    /** Worker threads per run (0 = hardware concurrency). */
+    /**
+     * Worker threads per run (0 = hardware concurrency): the
+     * deployment build and the slot loop.
+     */
     int threads = 0;
     /** This process's shard index in [0, shardCount). */
     int shardIndex = 0;

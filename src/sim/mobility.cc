@@ -1,5 +1,6 @@
 #include "sim/mobility.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -104,21 +105,18 @@ MobilityRuntime::MobilityRuntime(const MobilitySpec &spec,
     yLo_ = -ts.cellRadiusM;
     yHi_ = (ts.rows - 1) * ts.cellSpacingM + ts.cellRadiusM;
 
+    // Epoch 0 reuses the deployment's own matrix bit for bit;
+    // shadowing is static per link, so later epochs re-evaluate
+    // only the pathloss term against the cached draws.
     const size_t links = static_cast<size_t>(users_) *
                          static_cast<size_t>(cells_);
     gains_.resize(links);
     shadow_.resize(links);
     for (int u = 0; u < users_; ++u) {
-        for (int c = 0; c < cells_; ++c) {
-            const size_t i = static_cast<size_t>(u) *
-                                 static_cast<size_t>(cells_) +
-                             static_cast<size_t>(c);
-            // Epoch 0 reuses the deployment's own matrix bit for
-            // bit; shadowing is static per link, so only the
-            // pathloss term is re-evaluated on later epochs.
-            gains_[i] = topo_.linkGainLin(u, c);
-            shadow_[i] = topo_.pathloss().shadowingDb(u, c);
-        }
+        const size_t at = static_cast<size_t>(u) *
+                          static_cast<size_t>(cells_);
+        std::copy_n(topo_.gainRow(u), cells_, gains_.data() + at);
+        topo_.shadowRow(u, shadow_.data() + at);
     }
 
     serving_.resize(static_cast<size_t>(users_));
@@ -239,26 +237,36 @@ MobilityRuntime::churnDwell(int u, std::uint64_t k) const
 }
 
 void
-MobilityRuntime::refreshRow(int u, std::uint64_t t)
+MobilityRuntime::checkEpoch(std::uint64_t t) const
 {
-    const Position pos = positionAt(u, t);
-    const channel::PathlossModel &pl = topo_.pathloss();
-    double *row = gains_.data() +
-                  static_cast<size_t>(u) *
-                      static_cast<size_t>(cells_);
-    for (int c = 0; c < cells_; ++c) {
-        const Position bs = topo_.cellCenter(c);
-        const double dx = pos.x - bs.x;
-        const double dy = pos.y - bs.y;
-        const double d = std::sqrt(dx * dx + dy * dy);
-        // Same expression as Topology's construction-time fill --
-        // refSnr minus pathloss plus static shadowing -- so a
-        // zero-displacement refresh reproduces the matrix bitwise.
-        const double snr_db = pl.linkSnrDbAt(
-            d, shadow_[static_cast<size_t>(u) *
-                           static_cast<size_t>(cells_) +
-                       static_cast<size_t>(c)]);
-        row[c] = std::pow(10.0, snr_db / 10.0);
+    wilis_assert(t % epochSlots_ == 0,
+                 "epoch at slot %llu is not a multiple of the "
+                 "%llu-slot epoch",
+                 static_cast<unsigned long long>(t),
+                 static_cast<unsigned long long>(epochSlots_));
+    wilis_assert(lastEpochT_ == UINT64_MAX || t > lastEpochT_,
+                 "epoch at slot %llu replays or reorders the last "
+                 "epoch at slot %llu",
+                 static_cast<unsigned long long>(t),
+                 static_cast<unsigned long long>(lastEpochT_));
+}
+
+void
+MobilityRuntime::refreshRows(std::uint64_t t, int lo, int hi)
+{
+    checkEpoch(t);
+    wilis_assert(lo >= 0 && lo <= hi && hi <= users_,
+                 "refresh range [%d, %d) outside [0, %d)", lo, hi,
+                 users_);
+    // Positions have not moved at t = 0: the constructor's copy of
+    // the deployment matrix *is* the epoch-0 state.
+    if (t == 0 || spec_.model == MobilityModel::None)
+        return;
+    for (int u = lo; u < hi; ++u) {
+        const size_t at = static_cast<size_t>(u) *
+                          static_cast<size_t>(cells_);
+        topo_.fillGainRow(positionAt(u, t), shadow_.data() + at,
+                          gains_.data() + at);
     }
 }
 
@@ -276,24 +284,15 @@ MobilityRuntime::bestCell(const double *row) const
 void
 MobilityRuntime::epoch(std::uint64_t t, std::vector<Event> &out)
 {
-    wilis_assert(t % epochSlots_ == 0,
-                 "epoch at slot %llu is not a multiple of the "
-                 "%llu-slot epoch",
-                 static_cast<unsigned long long>(t),
-                 static_cast<unsigned long long>(epochSlots_));
-    wilis_assert(lastEpochT_ == UINT64_MAX || t > lastEpochT_,
-                 "epoch at slot %llu replays or reorders the last "
-                 "epoch at slot %llu",
-                 static_cast<unsigned long long>(t),
-                 static_cast<unsigned long long>(lastEpochT_));
-    lastEpochT_ = t;
+    refreshRows(t, 0, users_);
+    decide(t, out);
+}
 
-    // Positions have not moved at t = 0: the constructor's copy of
-    // the deployment matrix *is* the epoch-0 state.
-    if (t > 0 && spec_.model != MobilityModel::None) {
-        for (int u = 0; u < users_; ++u)
-            refreshRow(u, t);
-    }
+void
+MobilityRuntime::decide(std::uint64_t t, std::vector<Event> &out)
+{
+    checkEpoch(t);
+    lastEpochT_ = t;
 
     for (int u = 0; u < users_; ++u) {
         const size_t ui = static_cast<size_t>(u);

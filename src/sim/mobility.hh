@@ -104,26 +104,28 @@ struct MobilitySpec {
  * The shared mobility/handover/churn decision engine of one run.
  *
  * The multi-cell engine constructs one runtime per run and drives
- * it single-threaded at every gain-refresh epoch (the worker team
- * barriers around the call): epoch() refreshes the live gain
- * matrix from the trajectory positions, advances the churn chains
- * and the handover time-to-trigger state, and returns the slot's
- * ordered membership events. The engine then applies those events
- * to its scheduler/queue/ARQ state -- every decision is made once,
- * here.
+ * it at every gain-refresh epoch in two halves: refreshRows()
+ * re-evaluates the live gain matrix at the trajectory positions,
+ * every worker of the team taking a user range, and then decide()
+ * -- on one worker -- advances the churn chains and the handover
+ * time-to-trigger state and returns the slot's ordered membership
+ * events. The engine then applies those events to its
+ * scheduler/queue/ARQ state -- every decision is made once, here.
+ * epoch() is both halves on the calling thread, bit-identical to
+ * the split (a row depends only on its user and the slot).
  *
  * Between epochs the runtime is read-only: gainRow() /
  * servingGainLin() replace the static Topology matrix wherever the
  * engine folds interference or rate estimates.
  *
- * Publication contract: epoch() mutates the gain matrix and every
- * decision chain with no internal locking, so the caller must hold
- * all other workers at a LockstepTeam barrier for the duration of
- * the call; the barrier's release/acquire protocol then publishes
- * the new epoch state to every worker (and the pre-epoch reads back
- * to worker 0). This write-parked / read-shared pattern is
- * barrier-phase ownership -- enforced dynamically by the CI TSan
- * leg, not expressible to the lock-based static analysis (see
+ * Publication contract: refreshRows() writes only its range's rows
+ * and decide() mutates every decision chain, both with no internal
+ * locking, so the caller separates them -- and both from the
+ * workers' reads of the matrix -- with LockstepTeam barriers; the
+ * barrier's release/acquire protocol then publishes the new epoch
+ * state to every worker. This write-parked / read-shared pattern
+ * is barrier-phase ownership -- enforced dynamically by the CI
+ * TSan leg, not expressible to the lock-based static analysis (see
  * docs/ARCHITECTURE.md, "Static determinism guarantees").
  */
 class MobilityRuntime
@@ -227,10 +229,26 @@ class MobilityRuntime
      * increasing across calls): refresh the gain matrix from the
      * slot-@p t positions, advance churn and handover state, and
      * append this epoch's events to @p out in user-id order (at
-     * most one event per user per epoch). Must be called from one
-     * thread at a time.
+     * most one event per user per epoch). refreshRows() over every
+     * user, then decide(), on the calling thread.
      */
     void epoch(std::uint64_t t, std::vector<Event> &out);
+
+    /**
+     * The parallel half of epoch(@p t): re-evaluate the gain rows
+     * of users [@p lo, @p hi) at their slot-@p t positions (nothing
+     * to do at t = 0 or without a trajectory model). Calls on
+     * disjoint ranges may run concurrently; nothing else may run
+     * on the runtime meanwhile.
+     */
+    void refreshRows(std::uint64_t t, int lo, int hi);
+
+    /**
+     * The serial half of epoch(@p t), once refreshRows(@p t) has
+     * covered every user: advance churn and handover state and
+     * append the epoch's events to @p out. One thread at a time.
+     */
+    void decide(std::uint64_t t, std::vector<Event> &out);
 
     /** Completed handovers of user @p u. */
     std::uint64_t handovers(int u) const
@@ -285,8 +303,8 @@ class MobilityRuntime
     /** Exponential churn dwell @p k of user @p u, in slots. */
     std::uint64_t churnDwell(int u, std::uint64_t k) const;
 
-    /** Re-evaluate user @p u's gain row at its slot-@p t position. */
-    void refreshRow(int u, std::uint64_t t);
+    /** Assert @p t is a valid next epoch slot. */
+    void checkEpoch(std::uint64_t t) const;
 
     /** Best cell of @p row (argmax gain, lowest index on ties). */
     int bestCell(const double *row) const;
@@ -321,7 +339,7 @@ class MobilityRuntime
     std::vector<std::uint64_t> nextToggle_;
     std::vector<std::uint64_t> toggleIdx_;
 
-    // Last slot epoch() ran at (UINT64_MAX = never): enforces the
+    // Last slot decide() ran at (UINT64_MAX = never): enforces the
     // strictly-increasing call contract, so a scheduling bug that
     // replayed or reordered epochs panics instead of silently
     // re-advancing the churn chains.

@@ -29,7 +29,6 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/random.hh"
@@ -43,6 +42,7 @@
 #include "sim/link_fidelity.hh"
 #include "sim/mobility.hh"
 #include "sim/network_sim.hh"
+#include "sim/workers.hh"
 
 namespace wilis {
 namespace sim {
@@ -64,20 +64,6 @@ interferenceFade(const CounterRng &stream, std::uint64_t counter)
     if (u < 1e-300)
         u = 1e-300;
     return -std::log(u);
-}
-
-/**
- * Worker threads for a run asking for @p threads (0 = hardware
- * concurrency), capped at its @p work_items independent items.
- */
-inline int
-workerCount(int threads, int work_items)
-{
-    const int n = threads > 0
-                      ? threads
-                      : static_cast<int>(std::max(
-                            1u, std::thread::hardware_concurrency()));
-    return std::min(n, work_items);
 }
 
 /** SoftRate configuration of every user of @p spec. */

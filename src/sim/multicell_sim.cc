@@ -103,7 +103,7 @@ cacheMatches(const McSoaCache &c, const NetworkSpec &spec,
 
 std::shared_ptr<McSoaCache>
 buildCache(const NetworkSpec &spec, const Topology &topo,
-           const softphy::CalibrationTable *table)
+           const softphy::CalibrationTable *table, int threads)
 {
     const int cells = topo.numCells();
     const int num_users = topo.numUsers();
@@ -138,8 +138,9 @@ buildCache(const NetworkSpec &spec, const Topology &topo,
     cache->drawKey.resize(n);
     cache->interfKey.resize(n);
     cache->awgnSeed.resize(n);
-    cache->faders.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
+    // Placeholder faders, each overwritten by derive().
+    cache->faders.assign(n, channel::JakesFader(spec.dopplerHz, 0));
+    auto derive = [&](size_t i) {
         const int id = cache->order[i];
         const int cell = topo.servingCell(id);
         cache->serving[i] = static_cast<std::int32_t>(cell);
@@ -159,8 +160,16 @@ buildCache(const NetworkSpec &spec, const Topology &topo,
         cache->drawKey[i] = seeds.at(3);
         cache->interfKey[i] = seeds.at(4);
         cache->awgnSeed[i] = seeds.at(5);
-        cache->faders.emplace_back(spec.dopplerHz, seeds.at(0));
-    }
+        cache->faders[i] = channel::JakesFader(spec.dopplerHz, seeds.at(0));
+    };
+    // Every lane is keyed by the user id alone, so users derive in
+    // parallel ranges.
+    const int workers =
+        detail::rangeWorkers(threads, num_users, detail::kUserGrain);
+    detail::forEachRange(workers, num_users, [&](detail::Range range) {
+        for (int i = range.lo; i < range.hi; ++i)
+            derive(static_cast<size_t>(i));
+    });
 
     if (table) {
         cache->flat = table->flatten();
@@ -393,7 +402,7 @@ runMulticellNetwork(
     std::shared_ptr<McSoaCache> &slot =
         cache_slot ? *cache_slot : local;
     if (!slot || !cacheMatches(*slot, spec, topo, table))
-        slot = buildCache(spec, topo, table);
+        slot = buildCache(spec, topo, table, threads);
     McSoaCache &cache = *slot;
     const kernels::PerTableView flat_view =
         cache.hasFlat ? cache.flat.view() : kernels::PerTableView{};
@@ -728,10 +737,11 @@ runMulticellNetwork(
     };
 
     // ---- mobility epochs: apply membership events ---------------
-    // Runs single-threaded on worker 0 with the team held at a
-    // barrier, so it may touch any cell's state. Membership stays
-    // sorted by global user id, the order scheduler-local indices
-    // refer to.
+    // The team has refreshed the gain rows; the decisions and their
+    // effects run single-threaded on worker 0 with the team held at
+    // a barrier, so they may touch any cell's state. Membership
+    // stays sorted by global user id, the order scheduler-local
+    // indices refer to.
     auto member_pos = [&](const std::vector<std::uint32_t> &mem,
                           int uid) {
         return static_cast<int>(
@@ -767,7 +777,7 @@ runMulticellNetwork(
     std::vector<mac::Arq::Delivery> mob_deliv;
     auto apply_mobility = [&](std::uint64_t t) {
         mob_events.clear();
-        mob->epoch(t, mob_events);
+        mob->decide(t, mob_events);
         for (const MobilityRuntime::Event &ev : mob_events) {
             const std::uint32_t i = static_cast<std::uint32_t>(
                 cache.soaOf[static_cast<size_t>(ev.user)]);
@@ -843,11 +853,13 @@ runMulticellNetwork(
     // static analysis to check -- the CI TSan leg enforces this
     // (docs/ARCHITECTURE.md, "Static determinism guarantees").
     LockstepTeam team(n);
-    const int chunk = (cells + n - 1) / n;
     const std::uint64_t epoch_slots = mob ? mob->epochSlots() : 1;
     team.run([&](int w) {
-        const int c_lo = std::min(cells, w * chunk);
-        const int c_hi = std::min(cells, c_lo + chunk);
+        const detail::Range cr = detail::workerRange(w, n, cells);
+        const int c_lo = cr.lo;
+        const int c_hi = cr.hi;
+        // This worker's users in each epoch's gain-row refresh.
+        const detail::Range ur = detail::workerRange(w, n, num_users);
         Scratch sc(static_cast<size_t>(c_hi - c_lo));
         for (std::uint64_t t = start_slot; t < slots; ++t) {
             if (ckpt_every != 0 && t > start_slot &&
@@ -862,9 +874,13 @@ runMulticellNetwork(
             }
             if (mob && t % epoch_slots == 0) {
                 // The previous slot's trailing barrier (or run()
-                // entry at t = 0) already synced the team, so
-                // worker 0 may mutate any cell's state here; one
-                // barrier releases the others afterwards.
+                // entry at t = 0) already synced the team, so every
+                // worker may rewrite its users' gain rows; after a
+                // barrier worker 0 may read every row and mutate
+                // any cell's state, and one more barrier releases
+                // the others.
+                mob->refreshRows(t, ur.lo, ur.hi);
+                team.barrier();
                 if (w == 0)
                     apply_mobility(t);
                 team.barrier();
@@ -879,14 +895,20 @@ runMulticellNetwork(
         }
     });
 
-    // Per user, in id order: drain acknowledgements still in
-    // flight at the horizon, then the run-level counters. Under
-    // mobility the final serving cell replaces the drop-time
-    // association and the first-handover slot splits the run into
-    // the before/after throughput windows.
-    std::vector<mac::Arq::Delivery> tail;
+    // Per user: drain acknowledgements still in flight at the
+    // horizon, then the run-level counters. Under mobility the final
+    // serving cell replaces the drop-time association and the
+    // first-handover slot splits the run into the before/after
+    // throughput windows. Each user's drain touches its own state
+    // only, so users split into parallel ranges -- except when
+    // tracing, where the drain records into per-cell trace lanes
+    // that must keep one writer.
     res.users.resize(nu);
-    for (int id = 0; id < num_users; ++id) {
+    int drain_workers =
+        detail::rangeWorkers(threads, num_users, detail::kUserGrain);
+    if (trace)
+        drain_workers = 1;
+    auto drain_user = [&](int id, std::vector<mac::Arq::Delivery> &tail) {
         const size_t i = static_cast<size_t>(
             cache.soaOf[static_cast<size_t>(id)]);
         UserStats &st = stats[i];
@@ -909,7 +931,12 @@ runMulticellNetwork(
         }
         st.postHoSlots = slots - st.preHoSlots;
         res.users[static_cast<size_t>(id)] = std::move(st);
-    }
+    };
+    detail::forEachRange(drain_workers, num_users, [&](detail::Range range) {
+        std::vector<mac::Arq::Delivery> tail;
+        for (int id = range.lo; id < range.hi; ++id)
+            drain_user(id, tail);
+    });
 
     detail::finishResult(res, trace);
     return res;

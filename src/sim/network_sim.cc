@@ -61,7 +61,8 @@ NetworkSim::NetworkSim(const NetworkSpec &spec)
 
 NetworkSim::NetworkSim(
     const NetworkSpec &spec,
-    std::shared_ptr<const softphy::CalibrationTable> table)
+    std::shared_ptr<const softphy::CalibrationTable> table,
+    int threads)
     : spec_(spec),
       estimator(softphy::analyticRateEstimator(spec.link.rx)),
       calib(std::move(table))
@@ -74,7 +75,7 @@ NetworkSim::NetworkSim(
     if (spec_.multicell())
         topo = std::make_unique<Topology>(spec_.topology,
                                           spec_.numUsers,
-                                          spec_.seed);
+                                          spec_.seed, threads);
     ensureCalibration();
 }
 

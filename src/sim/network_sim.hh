@@ -230,9 +230,15 @@ class NetworkSim
      */
     explicit NetworkSim(const NetworkSpec &spec);
 
-    /** Build with an injected (pre-built or shared) table. */
+    /**
+     * Build with an injected (pre-built or shared) table (null: as
+     * the one-argument constructor). @p threads builds the
+     * deployment (0 = hardware concurrency, as run()); the result
+     * does not depend on it.
+     */
     NetworkSim(const NetworkSpec &spec,
-               std::shared_ptr<const softphy::CalibrationTable> table);
+               std::shared_ptr<const softphy::CalibrationTable> table,
+               int threads = 0);
 
     /** The network description in use. */
     const NetworkSpec &spec() const { return spec_; }

@@ -144,6 +144,14 @@ rangedKey(const li::Config &cfg, const char *key, long def, long lo,
 constexpr long kMaxGridSide = 46340;
 
 /**
+ * Largest users x cells product a spec may ask for: the deployment
+ * keeps users x cells link gains in doubles (the mobility layer two
+ * more such matrices), so this caps one matrix at 512 MiB -- 65x
+ * the dense-urban-10k preset's 1,024,000 links.
+ */
+constexpr unsigned long long kMaxLinks = 1ull << 26;
+
+/**
  * One side (@p side, "rows" or "cols") of the cells=RxC value
  * @p grid: @p text must be digits only, and its value is checked
  * against [1, kMaxGridSide] before it is narrowed.
@@ -640,6 +648,20 @@ NetworkSpec::applyConfig(const li::Config &cfg)
             link_cfg.set(kv.first, kv.second);
     }
     link.applyConfig(link_cfg);
+
+    // users x cells bounds the gain matrix Topology allocates (and
+    // the per-user state of either engine); reject an oversized
+    // spec here rather than in the allocation. Both factors are
+    // bounded above, so the product cannot overflow.
+    const unsigned long long links =
+        static_cast<unsigned long long>(numUsers) *
+        static_cast<unsigned long long>(topology.rows) *
+        static_cast<unsigned long long>(topology.cols);
+    if (links > kMaxLinks)
+        wilis_fatal("keys 'users' x 'cells' = %d x %dx%d = %llu links "
+                    "exceeds the limit of %llu",
+                    numUsers, topology.rows, topology.cols, links,
+                    kMaxLinks);
 
     // The multi-cell engine derives per-user SNRs from the
     // topology and offers traffic through the traffic model, so

@@ -1,16 +1,18 @@
 #include "sim/topology.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "sim/workers.hh"
 
 namespace wilis {
 namespace sim {
 
 Topology::Topology(const TopologySpec &spec, int num_users,
-                   std::uint64_t seed)
+                   std::uint64_t seed, int threads)
     : spec_(spec), seed_(seed),
       pathloss_(spec.pathloss,
                 CounterRng(seed).at(0x70B0ull)) // shadowing stream
@@ -33,15 +35,19 @@ Topology::Topology(const TopologySpec &spec, int num_users,
 
     const int cells = numCells();
     users_.resize(static_cast<size_t>(num_users));
-    cell_users_.resize(static_cast<size_t>(cells));
     gains_.resize(static_cast<size_t>(num_users) *
                   static_cast<size_t>(cells));
+    // Round-robin association: cell c serves users c, c + cells,
+    // c + 2 * cells, ... in increasing order.
+    cell_users_.resize(static_cast<size_t>(cells));
+    for (int u = 0; u < num_users; ++u)
+        cell_users_[static_cast<size_t>(u % cells)].push_back(u);
 
     const CounterRng root(seed_);
-    for (int u = 0; u < num_users; ++u) {
+    const size_t cn = static_cast<size_t>(cells);
+    auto place_user = [&](int u) {
         User &usr = users_[static_cast<size_t>(u)];
         usr.cell = u % cells;
-        cell_users_[static_cast<size_t>(usr.cell)].push_back(u);
 
         // Uniform drop over the serving annulus [minDistance,
         // radius): r = sqrt(lerp(min^2, R^2, u1)) gives uniform
@@ -64,13 +70,19 @@ Topology::Topology(const TopologySpec &spec, int num_users,
         usr.pos.y = center.y + r * std::sin(theta);
         usr.servingDistanceM = r;
 
-        for (int c = 0; c < cells; ++c) {
-            gains_[static_cast<size_t>(u) *
-                       static_cast<size_t>(cells) +
-                   static_cast<size_t>(c)] =
-                linkGainLinAt(usr.pos, u, c);
-        }
-    }
+        double *row = gains_.data() + static_cast<size_t>(u) * cn;
+        shadowRow(u, row);
+        fillGainRow(usr.pos, row, row);
+    };
+    // A user's placement and row depend on its id and the keyed
+    // streams only, so users fill in parallel ranges,
+    // bit-identically for any worker count.
+    const int grain = std::max(1, detail::kLinkGrain / cells);
+    const int workers = detail::rangeWorkers(threads, num_users, grain);
+    detail::forEachRange(workers, num_users, [&](detail::Range range) {
+        for (int u = range.lo; u < range.hi; ++u)
+            place_user(u);
+    });
 }
 
 int
@@ -98,14 +110,25 @@ Topology::cellUsers(int c) const
     return cell_users_[static_cast<size_t>(c)];
 }
 
-double
-Topology::linkGainLinAt(const Position &pos, int u, int c) const
+void
+Topology::shadowRow(int u, double *out) const
 {
-    const Position bs = cellCenter(c);
-    const double dx = pos.x - bs.x;
-    const double dy = pos.y - bs.y;
-    const double d = std::sqrt(dx * dx + dy * dy);
-    return std::pow(10.0, pathloss_.linkSnrDb(d, u, c) / 10.0);
+    for (int c = 0; c < numCells(); ++c)
+        out[c] = pathloss_.shadowingDb(u, c);
+}
+
+void
+Topology::fillGainRow(const Position &pos, const double *shadowDb,
+                      double *row) const
+{
+    for (int c = 0; c < numCells(); ++c) {
+        const Position bs = cellCenter(c);
+        const double dx = pos.x - bs.x;
+        const double dy = pos.y - bs.y;
+        const double d = std::sqrt(dx * dx + dy * dy);
+        row[c] = std::pow(
+            10.0, pathloss_.linkSnrDbAt(d, shadowDb[c]) / 10.0);
+    }
 }
 
 double

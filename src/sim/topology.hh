@@ -10,10 +10,10 @@
  * Everything here is a pure function of (spec, user count, seed):
  * placements draw from per-user counter streams, shadowing from
  * per-link keys, so the whole deployment is bit-identical for any
- * thread count and any evaluation order. The matrix costs
- * O(users x cells) doubles (a 10k-user, 100-cell deployment is
- * 8 MB) and makes the per-slot interference sum a cache-friendly
- * row walk.
+ * thread count and any evaluation order -- and construction fills
+ * the users' rows in parallel. The matrix costs O(users x cells)
+ * doubles (a 10k-user, 100-cell deployment is 8 MB) and makes the
+ * per-slot interference sum a cache-friendly row walk.
  */
 
 #ifndef WILIS_SIM_TOPOLOGY_HH
@@ -71,18 +71,21 @@ class Topology
      * @param num_users Users to drop (>= 1).
      * @param seed      Master seed; placement and shadowing streams
      *                  are forked from it per user / per link.
+     * @param threads   Workers filling the users' rows (0 =
+     *                  hardware concurrency); deployments under
+     *                  detail::kLinkGrain links per worker stay on
+     *                  the calling thread. The result does not
+     *                  depend on it.
      */
     Topology(const TopologySpec &spec, int num_users,
-             std::uint64_t seed);
+             std::uint64_t seed, int threads = 0);
 
     /** The geometry in use. */
     const TopologySpec &spec() const { return spec_; }
 
     /**
-     * The realized propagation model (the position-dependent link
-     * query: pathloss at any distance plus the static per-link
-     * shadowing draw). sim::MobilityRuntime re-evaluates moving
-     * users' link budgets through it.
+     * The realized propagation model: pathloss at any distance
+     * plus the static per-link shadowing draw.
      */
     const channel::PathlossModel &pathloss() const
     {
@@ -125,15 +128,24 @@ class Topology
     }
 
     /**
-     * Link budget of user @p u's stream from cell @p c evaluated at
-     * an arbitrary position, in linear SNR units: the
-     * position-dependent form of the matrix query (pathloss at the
-     * distance from @p pos to the cell, plus user @p u's static
-     * shadowing draw toward @p c). linkGainLinAt(userPosition(u),
-     * u, c) reproduces linkGainLin(u, c) bitwise; the mobility
-     * layer evaluates it along trajectories.
+     * User @p u's static shadowing draw toward every cell, in dB,
+     * into @p out (numCells() entries): the keyed per-link term of
+     * the link budget, independent of position.
      */
-    double linkGainLinAt(const Position &pos, int u, int c) const;
+    void shadowRow(int u, double *out) const;
+
+    /**
+     * The link-budget row of a user standing at @p pos, in linear
+     * SNR units: row[c] = 10^((refSnr - pathloss(|pos - cell c|) +
+     * shadowDb[c]) / 10) for every cell c, where @p shadowDb is the
+     * user's shadowRow() (it may alias @p row). This is the one
+     * copy of the link-budget expression: construction fills the
+     * matrix through it and sim::MobilityRuntime refreshes moving
+     * users' rows through it, so a refresh at the drop position
+     * reproduces gainRow() bitwise.
+     */
+    void fillGainRow(const Position &pos, const double *shadowDb,
+                     double *row) const;
 
     /** The same link budget in linear SNR units (10^(dB/10)). */
     double linkGainLin(int u, int c) const

@@ -2,8 +2,9 @@
  * @file
  * End-to-end checks of the CLI binaries' argument handling:
  * wilis_cli's --help and -h print the usage text and exit 0 instead
- * of being read as a config-file path, and a malformed spec value
- * makes network_sim fail with a located error.
+ * of being read as a config-file path, and a malformed, non-finite
+ * or oversized spec value makes network_sim fail with a located
+ * error.
  */
 
 #include <gtest/gtest.h>
@@ -87,4 +88,35 @@ TEST(NetworkSimCli, EmptyNumericSpecValuesAreErrors)
     ASSERT_TRUE(WIFEXITED(status)) << out;
     EXPECT_EQ(WEXITSTATUS(status), 1) << out;
     EXPECT_NE(out.find("config key '"), std::string::npos) << out;
+}
+
+TEST(NetworkSimCli, NonFiniteSpecValuesAreErrors)
+{
+    // strtod reads "nan"; it used to run with every SNR nan.
+    int status = -1;
+    const std::string out = runBinary(
+        WILIS_NETWORK_SIM_BIN, "cell-16,snr_db=nan 2 1", &status);
+    ASSERT_TRUE(WIFEXITED(status)) << out;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << out;
+    EXPECT_NE(out.find("config key 'snr_db': 'nan' is not a finite "
+                       "number"),
+              std::string::npos)
+        << out;
+}
+
+TEST(NetworkSimCli, OversizedDeploymentIsRejectedBeforeAllocation)
+{
+    // 36 users x 46340^2 cells would be a ~620 GB gain matrix: the
+    // spec check must stop it before Topology allocates anything.
+    int status = -1;
+    const std::string out = runBinary(
+        WILIS_NETWORK_SIM_BIN, "grid-3x3,cells=46340x46340 1 1",
+        &status);
+    ASSERT_TRUE(WIFEXITED(status)) << out;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << out;
+    EXPECT_NE(out.find("keys 'users' x 'cells' = 36 x 46340x46340 = "
+                       "77306241600 links exceeds the limit of "
+                       "67108864"),
+              std::string::npos)
+        << out;
 }

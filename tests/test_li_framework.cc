@@ -167,6 +167,28 @@ TEST(Config, OutOfRangeDoublesAreErrors)
     EXPECT_DOUBLE_EQ(cfg.getDouble("ok", 0.0), 1e300);
 }
 
+TEST(Config, NonFiniteDoublesAreErrors)
+{
+    // strtod parses every one of these; none is a usable value.
+    const Config cfg = Config::fromString(
+        "a=nan,b=inf,c=-inf,d=infinity,e=nan(0x1),f=NAN,g=-Infinity");
+    EXPECT_DEATH(cfg.getDouble("a", 0.0),
+                 "config key 'a': 'nan' is not a finite number");
+    EXPECT_DEATH(cfg.getDouble("b", 0.0),
+                 "config key 'b': 'inf' is not a finite number");
+    EXPECT_DEATH(cfg.getDouble("c", 0.0),
+                 "config key 'c': '-inf' is not a finite number");
+    EXPECT_DEATH(cfg.getDouble("d", 0.0),
+                 "config key 'd': 'infinity' is not a finite number");
+    EXPECT_DEATH(cfg.getDouble("e", 0.0),
+                 "config key 'e': 'nan\\(0x1\\)' is not a finite "
+                 "number");
+    EXPECT_DEATH(cfg.getDouble("f", 0.0),
+                 "config key 'f': 'NAN' is not a finite number");
+    EXPECT_DEATH(cfg.getDouble("g", 0.0),
+                 "config key 'g': '-Infinity' is not a finite number");
+}
+
 TEST(LiPipeline, TokensArriveInOrderAndIntact)
 {
     Scheduler sched;

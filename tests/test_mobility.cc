@@ -12,14 +12,18 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/lockstep.hh"
 #include "mac/packet_trace.hh"
 #include "sim/mobility.hh"
 #include "sim/network_sim.hh"
+#include "sim/scenario.hh"
 #include "sim/topology.hh"
+#include "sim/workers.hh"
 
 using namespace wilis;
 using namespace wilis::sim;
@@ -265,6 +269,77 @@ TEST(Mobility, ChurnTogglesSessionsConsistently)
     }
     EXPECT_EQ(joins, joins_acc);
     EXPECT_EQ(leaves, leaves_acc);
+}
+
+// ------------------------------------------------ parallel epochs
+
+TEST(Mobility, TeamRefreshMatchesSerialEpochs)
+{
+    // The engine's epoch split -- every worker refreshes its user
+    // range, a barrier, worker 0 decides -- must leave the live
+    // matrix and the events byte-equal to serial epoch() calls.
+    const NetworkSpec spec = networkPreset("urban-mobile");
+    const Topology topo(spec.topology, spec.numUsers, spec.seed);
+    const size_t links = static_cast<size_t>(topo.numUsers()) *
+                         static_cast<size_t>(topo.numCells());
+    MobilityRuntime serial(spec.mobility, topo, spec.seed,
+                           spec.frameIntervalUs);
+    const std::uint64_t step = serial.epochSlots();
+    const std::uint64_t horizon = 40 * step;
+    std::vector<MobilityRuntime::Event> want;
+    for (std::uint64_t t = 0; t < horizon; t += step)
+        serial.epoch(t, want);
+    ASSERT_FALSE(want.empty()) << "no handover or churn to compare";
+
+    for (int n : {1, 2, 3, 7}) {
+        SCOPED_TRACE(n);
+        MobilityRuntime team_rt(spec.mobility, topo, spec.seed,
+                                spec.frameIntervalUs);
+        std::vector<MobilityRuntime::Event> got;
+        LockstepTeam team(n);
+        team.run([&](int w) {
+            const sim::detail::Range r =
+                sim::detail::workerRange(w, n, topo.numUsers());
+            for (std::uint64_t t = 0; t < horizon; t += step) {
+                team_rt.refreshRows(t, r.lo, r.hi);
+                team.barrier();
+                if (w == 0)
+                    team_rt.decide(t, got);
+                team.barrier();
+            }
+        });
+        EXPECT_EQ(std::memcmp(team_rt.gainRow(0), serial.gainRow(0),
+                              links * sizeof(double)),
+                  0);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].kind, want[i].kind) << i;
+            EXPECT_EQ(got[i].user, want[i].user) << i;
+            EXPECT_EQ(got[i].fromCell, want[i].fromCell) << i;
+            EXPECT_EQ(got[i].toCell, want[i].toCell) << i;
+            EXPECT_EQ(got[i].pingPong, want[i].pingPong) << i;
+        }
+        for (int u = 0; u < topo.numUsers(); ++u)
+            EXPECT_EQ(team_rt.servingCell(u), serial.servingCell(u));
+    }
+}
+
+TEST(Mobility, RefreshAtTheDropPositionReproducesTheMatrix)
+{
+    // fillGainRow() is the one link-budget expression: evaluated at
+    // a user's drop position it must give the deployment's row.
+    const Topology topo = smallTopology();
+    std::vector<double> shadow(static_cast<size_t>(topo.numCells()));
+    std::vector<double> row(shadow.size());
+    for (int u = 0; u < topo.numUsers(); ++u) {
+        topo.shadowRow(u, shadow.data());
+        topo.fillGainRow(topo.userPosition(u), shadow.data(),
+                         row.data());
+        EXPECT_EQ(std::memcmp(row.data(), topo.gainRow(u),
+                              row.size() * sizeof(double)),
+                  0)
+            << "user " << u;
+    }
 }
 
 // ------------------------------------- full-run stats + the trace

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "sim/scenario.hh"
 #include "sim/sweep.hh"
@@ -271,6 +272,31 @@ TEST(NetworkSpecStrict, RejectsMalformedOrOutOfRangeCellGrids)
     EXPECT_EQ(edge.topology.cols, 1);
 }
 
+TEST(NetworkSpecStrict, BoundsUsersTimesCells)
+{
+    // users x cells sizes the gain matrix: 2^26 links at most.
+    const struct {
+        const char *cfg;
+        const char *error;
+    } cases[] = {
+        {"users=36,cells=46340x46340",
+         "keys 'users' x 'cells' = 36 x 46340x46340 = 77306241600 links"},
+        {"users=2147483647",
+         "keys 'users' x 'cells' = 2147483647 x 1x1 = 2147483647 links"},
+        {"users=67108865", "exceeds the limit of 67108864"},
+        {"users=16777217,cells=2x2", "= 67108868 links exceeds"},
+        {"users=7456541,cells=3x3", "= 67108869 links exceeds"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.cfg);
+        EXPECT_DEATH(NetworkSpec::fromConfig(li::Config::fromString(c.cfg)),
+                     c.error);
+    }
+    const NetworkSpec edge = NetworkSpec::fromConfig(
+        li::Config::fromString("users=16777216,cells=2x2"));
+    EXPECT_EQ(edge.numUsers, 16777216);
+}
+
 TEST(NetworkSpecStrict, RejectsOutOfRangeIntegerKeys)
 {
     const struct {
@@ -305,16 +331,20 @@ TEST(NetworkSpecStrict, RejectsOutOfRangeIntegerKeys)
 
 TEST(NetworkSpecStrict, AcceptsTheEdgesOfEachIntegerRange)
 {
-    for (const char *v : {"1", "2147483647"}) {
+    // users is further bounded by users x cells <= 2^26 (see
+    // BoundsUsersTimesCells): on a 3x3 grid its edge is 2^26 / 9.
+    for (const auto &[v, users] : {std::pair<const char *, int>{"1", 1},
+                                   {"2147483647", 7456540}}) {
         SCOPED_TRACE(v);
         const std::string n(v);
         const NetworkSpec s = NetworkSpec::fromConfig(
-            li::Config::fromString("cells=3x3,users=" + n +
+            li::Config::fromString("cells=3x3,users=" +
+                                   std::to_string(users) +
                                    ",arq_window=" + n +
                                    ",arq_max_attempts=" + n +
                                    ",reps=" + n + ",queue_limit=" + n));
         const int want = std::stoi(n);
-        EXPECT_EQ(s.numUsers, want);
+        EXPECT_EQ(s.numUsers, users);
         EXPECT_EQ(s.arqWindow, want);
         EXPECT_EQ(s.arqMaxAttempts, want);
         EXPECT_EQ(s.reps, want);

@@ -5,13 +5,15 @@
  * with per-user 2-D placement, the JakesFader extraction (pinned
  * against RayleighChannel), the per-user traffic models and the
  * per-cell schedulers. Everything here must be a pure function of
- * its seeds -- replayable in any order.
+ * its seeds -- replayable in any order, and for the topology on any
+ * number of worker threads.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
+#include <cstring>
 
 #include "channel/fading.hh"
 #include "channel/pathloss.hh"
@@ -19,6 +21,7 @@
 #include "mac/scheduler.hh"
 #include "mac/traffic.hh"
 #include "phy/ofdm_symbol.hh"
+#include "sim/scenario.hh"
 #include "sim/topology.hh"
 
 using namespace wilis;
@@ -138,6 +141,44 @@ TEST(Topology, PlacementIsDeterministicAndInsideTheCell)
         EXPECT_NEAR(std::sqrt(dx * dx + dy * dy), d, 1e-9);
     }
     EXPECT_TRUE(any_moved) << "different seeds, different drop";
+}
+
+TEST(Topology, ConstructionIsWorkerCountInvariant)
+{
+    // Rows fill over user ranges in parallel: the matrix, positions
+    // and cell populations must be byte-equal for any worker count
+    // (0 = hardware concurrency), on a deployment below the
+    // parallel grain and on one far above it.
+    for (const char *preset : {"grid-3x3", "dense-urban-10k"}) {
+        SCOPED_TRACE(preset);
+        const sim::NetworkSpec spec = sim::networkPreset(preset);
+        const sim::Topology ref(spec.topology, spec.numUsers,
+                                spec.seed, 1);
+        const size_t links = static_cast<size_t>(ref.numUsers()) *
+                             static_cast<size_t>(ref.numCells());
+        for (int workers : {2, 3, 7, 0}) {
+            SCOPED_TRACE(workers);
+            const sim::Topology topo(spec.topology, spec.numUsers,
+                                     spec.seed, workers);
+            EXPECT_EQ(std::memcmp(topo.gainRow(0), ref.gainRow(0),
+                                  links * sizeof(double)),
+                      0);
+            int moved = 0;
+            for (int u = 0; u < ref.numUsers(); ++u) {
+                const sim::Position a = topo.userPosition(u);
+                const sim::Position b = ref.userPosition(u);
+                const double da = topo.servingDistanceM(u);
+                const double db = ref.servingDistanceM(u);
+                moved += std::memcmp(&a, &b, sizeof a) != 0 ||
+                         std::memcmp(&da, &db, sizeof da) != 0 ||
+                         topo.servingCell(u) != ref.servingCell(u);
+            }
+            EXPECT_EQ(moved, 0);
+            for (int c = 0; c < ref.numCells(); ++c)
+                EXPECT_EQ(topo.cellUsers(c), ref.cellUsers(c))
+                    << "cell " << c;
+        }
+    }
 }
 
 TEST(Topology, InterferenceDegradesSinrBelowSnr)
